@@ -643,7 +643,7 @@ class CertifySession:
                     "(CertifySession.certify), since the certificate embeds "
                     "the client source"
                 )
-            with phase("emit", engine=engine) as meta:
+            with phase("emit", engine=engine):
                 report.certificate = build_partial_certificate(
                     spec=self.spec,
                     engine=engine,
@@ -651,7 +651,6 @@ class CertifySession:
                     source=source_key,
                     report=report,
                 )
-                meta["bytes"] = len(report.certificate.text())
         return report
 
     def artifacts(self, program: Program, engine: str, source_key=None) -> dict:
@@ -724,7 +723,7 @@ class CertifySession:
                 "(CertifySession.certify), since the certificate embeds "
                 "the client source"
             )
-        with phase("emit", engine=engine) as meta:
+        with phase("emit", engine=engine):
             certificate = build_certificate(
                 spec=self.spec,
                 engine=engine,
@@ -735,7 +734,6 @@ class CertifySession:
                 arts=arts,
                 capture=capture,
             )
-            meta["bytes"] = len(certificate.text())
         report.certificate = certificate
 
     def _run_engine(

@@ -29,7 +29,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.api import ENGINES, CertifyOptions, CertifySession
+from repro.api import (
+    DEFAULT_CACHE_SIZE,
+    ENGINES,
+    CertifyOptions,
+    CertifySession,
+)
 from repro.cert import model
 from repro.cert.model import CertificateError, ConformanceCertificate
 from repro.certifier.fds import FdsSolver
@@ -42,6 +47,7 @@ from repro.generic_analysis.framework import (
     _SpecRunner,
     _transfer as generic_transfer,
 )
+from repro.runtime.cache import LRUCache
 from repro.runtime.trace import phase
 from repro.logic import packed as packed_kernel
 from repro.tvla.engine import _alarm_list
@@ -103,9 +109,9 @@ class CertificateChecker:
         # of (spec, options, engine, source); the source hash is verified
         # against the embedded text before it is used as a key, so
         # memoizing them does not extend the trusted base — it only
-        # amortizes checking a batch of certificates over one build
-        self._builds: Dict[Tuple[str, str, str, str], tuple] = {}
-        self._certifiers: Dict[Tuple[str, str, str, str], object] = {}
+        # lets a re-check of a recent client skip parsing.  Bounded, so a
+        # long-lived checker does not grow with every client it sees
+        self._builds = LRUCache(DEFAULT_CACHE_SIZE, name="checker-builds")
         self._spec_hashes: Dict[str, str] = {}
 
     # -- session plumbing ---------------------------------------------------
@@ -284,7 +290,7 @@ class CertificateChecker:
                 arts,
                 model.abstraction_hash(arts.get("abstraction")),
             )
-            self._builds[build_key] = build
+            self._builds.put(build_key, build)
         program, arts, derived_hash = build
 
         recorded_hash = payload.get("abstraction_hash")
@@ -302,7 +308,7 @@ class CertificateChecker:
             )
         elif engine == "interproc":
             alarms, nodes, edges = self._check_interproc(
-                session, program, arts, annotation, build_key
+                session, program, arts, annotation
             )
         elif engine.startswith("tvla-"):
             alarms, nodes, edges = self._check_tvla(arts, annotation)
@@ -434,18 +440,17 @@ class CertificateChecker:
         alarms = solver._collect_alarms(boolprog, alarm_hits)
         return alarms, len(states), checked
 
-    def _check_interproc(self, session, program, arts, annotation, build_key):
+    def _check_interproc(self, session, program, arts, annotation):
         if annotation.get("kind") != "interproc":
             raise _Reject("malformed", "annotation kind is not 'interproc'")
-        certifier = self._certifiers.get(build_key)
-        if certifier is None:
-            certifier = InterproceduralCertifier(
-                program,
-                arts["abstraction"],
-                prune_requires=session.options.prune_requires,
-                worklist=session.options.worklist,
-            )
-            self._certifiers[build_key] = certifier
+        # a fresh certifier per check: its fact spaces are rebuilt from
+        # the abstraction's transform memo, so none outlive the check
+        certifier = InterproceduralCertifier(
+            program,
+            arts["abstraction"],
+            prune_requires=session.options.prune_requires,
+            worklist=session.options.worklist,
+        )
         try:
             contexts: Dict[Tuple[str, int], dict] = {}
             for ctx in annotation["contexts"]:

@@ -90,6 +90,15 @@ class BoolProgram:
             self._instances.append(instance)
         return self._index[instance]
 
+    def declare(
+        self, instances: Sequence[Instance], index: Dict[Instance, int]
+    ) -> None:
+        """Register ``instances`` as variables ``0 .. n-1`` of a program
+        that has none yet; ``index`` is their instance -> position map."""
+        assert not self._instances, "declare() needs a fresh program"
+        self._instances = list(instances)
+        self._index = dict(index)
+
     def lookup(self, instance: Instance) -> Optional[int]:
         return self._index.get(instance)
 

@@ -49,7 +49,6 @@ from repro.certifier.transform import (
     ClientTransformer,
     TransformError,
     family_mentions_mutable_field,
-    reflexively_true,
 )
 from repro.derivation.predicates import DerivedAbstraction, Family
 from repro.lang.cfg import CFG, SCallClient, SCopy, SReturn
@@ -228,25 +227,17 @@ class InterproceduralCertifier:
         self._load_failed: Set[Tuple[str, int]] = set()
         self._space_keys: Dict[str, str] = {}
         self._analysis_key_memo: Optional[str] = None
-        #: per-family memos for the two spec queries on the call-mapping
+        #: per-family memo for the mutability query on the call-mapping
         #: hot path (family names are unique within an abstraction);
-        #: recomputing the formula scans per call edge dominated
+        #: recomputing the formula scan per call edge dominated
         #: large-program profiles
         self._mutable_memo: Dict[str, bool] = {}
-        self._reflexive_memo: Dict[str, bool] = {}
 
     def _family_mutable(self, family: Family) -> bool:
         value = self._mutable_memo.get(family.name)
         if value is None:
             value = family_mentions_mutable_field(family, self.spec)
             self._mutable_memo[family.name] = value
-        return value
-
-    def _family_reflexive(self, family: Family) -> bool:
-        value = self._reflexive_memo.get(family.name)
-        if value is None:
-            value = reflexively_true(family)
-            self._reflexive_memo[family.name] = value
         return value
 
     def _local_worklist(self, qualified: str, boolprog):
@@ -427,7 +418,7 @@ class InterproceduralCertifier:
                 # a callee local (incl. ##ret): null at entry
                 return (
                     len(set(instance.args)) <= 1
-                    and self._family_reflexive(family)
+                    and self.abstraction.is_reflexive(family.name)
                 )
             mapped.append(visible)
         return self._caller_value(

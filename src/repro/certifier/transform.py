@@ -42,9 +42,15 @@ from repro.lang.cfg import (
     SStore,
 )
 from repro.lang.types import Program
-from repro.logic.formula import TRUE
 from repro.runtime.trace import phase as trace_phase
 from repro.logic.terms import Base
+
+#: how many cells (instances, checks and assignments) one abstraction's
+#: transform memo holds before it starts over.  A cell takes about
+#: 0.21 KB with its share of the index and templates, so this caps the
+#: memo near 3.5 MB, ten times the 1,527-cell peak of the benchmark
+#: workloads (EXPERIMENTS.md E17)
+_MEMO_CELLS = 16384
 
 
 class TransformError(Exception):
@@ -65,19 +71,6 @@ def _all_tuples(
     import itertools
 
     yield from itertools.product(*pools)
-
-
-def reflexively_true(family: Family) -> bool:
-    """True when the family's formula folds to TRUE once all of its
-    variables are unified — the ``same(v, v) = 1`` simplification of
-    Fig. 8, also the correct value for an all-null instance."""
-    if family.arity == 0:
-        return False
-    from repro.derivation.derive import rename_bases
-
-    unified = Base("$u", family.vars[0].sort)
-    mapping = {var: unified for var in family.vars}
-    return rename_bases(family.formula, mapping) is TRUE
 
 
 def family_mentions_mutable_field(family: Family, spec) -> bool:
@@ -127,8 +120,74 @@ def _term_sort(term, spec) -> Optional[str]:
     return None
 
 
+class _Universe:
+    """The instance universe of one variable environment, plus the edge
+    templates built over it.
+
+    ``transform_cfg`` registers the universe first, so its instances are
+    variables ``0 .. n-1`` of every boolean program built over it; an
+    edge template that mentions only universe instances is therefore
+    valid, index for index, in each of those programs.
+    """
+
+    __slots__ = ("instances", "index", "initially_true", "ops", "nulls")
+
+    def __init__(
+        self, abstraction: DerivedAbstraction, variables: Dict[str, str]
+    ) -> None:
+        instances = [
+            Instance(family.name, args)
+            for family in abstraction.families
+            for args in _all_tuples(variables, family.sorts)
+        ]
+        self.instances: Tuple[Instance, ...] = tuple(instances)
+        self.index: Dict[Instance, int] = {
+            instance: index for index, instance in enumerate(instances)
+        }
+        self.initially_true: Tuple[int, ...] = tuple(
+            index
+            for index, instance in enumerate(instances)
+            if len(set(instance.args)) <= 1
+            and abstraction.is_reflexive(instance.family)
+        )
+        #: (op key, bindings) -> edge template (``_op_template``)
+        self.ops: Dict[tuple, tuple] = {}
+        #: null-assigned variable -> its assigns
+        self.nulls: Dict[str, Tuple[ParallelAssign, ...]] = {}
+
+
+class _TransformMemo:
+    """One abstraction's instance universes, keyed by ordered variable
+    environment, and the cells they hold.
+
+    Every entry is a pure function of its key, so emptying the memo when
+    it would pass ``_MEMO_CELLS`` only costs rebuilding.  A universe
+    still in use when the memo empties keeps filling templates, which
+    are charged to the emptied memo, so ``cells`` may run ahead of what
+    the memo holds but never behind.
+    """
+
+    __slots__ = ("universes", "cells")
+
+    def __init__(self) -> None:
+        self.universes: Dict[tuple, _Universe] = {}
+        self.cells = 0
+
+    def charge(self, cells: int) -> None:
+        if self.cells + cells > _MEMO_CELLS:
+            self.universes.clear()
+            self.cells = 0
+        self.cells += cells
+
+
 class ClientTransformer:
-    """Builds boolean programs from client methods."""
+    """Builds boolean programs from client methods.
+
+    The symbolic work — instance universes and the per-operation update
+    instantiation — depends only on the abstraction, the operation and
+    its binding, and the variable environment, so it is memoized on the
+    abstraction and shared by every client transformed against it.
+    """
 
     def __init__(
         self,
@@ -143,24 +202,30 @@ class ClientTransformer:
         self.abstraction = abstraction
         self.spec = abstraction.spec
         self.on_client_call = on_client_call
-        #: symbolic transforms depend only on (abstraction, op, binding,
-        #: in-scope variables) — across a large client the same local
-        #: names recur in method after method, so both memos hit heavily
-        self._instances_memo: Dict[tuple, List[Instance]] = {}
-        self._comp_op_memo: Dict[tuple, tuple] = {}
+        #: sorted variable environment -> the universe of the first
+        #: environment with that sorted form in this program: instance
+        #: order follows that environment's order, so methods declaring
+        #: the same variables in another order share its numbering
+        self._universes: Dict[tuple, _Universe] = {}
+        memo = abstraction.transform_memo
+        if memo is None:
+            memo = abstraction.transform_memo = _TransformMemo()
+        self._memo: _TransformMemo = memo  # type: ignore[assignment]
 
     # -- instance universe -----------------------------------------------------
 
-    def instances_for(self, variables: Dict[str, str]) -> List[Instance]:
+    def _universe(self, variables: Dict[str, str]) -> _Universe:
         key = tuple(sorted(variables.items()))
-        found = self._instances_memo.get(key)
-        if found is None:
-            found = []
-            for family in self.abstraction.families:
-                for args in _all_tuples(variables, family.sorts):
-                    found.append(Instance(family.name, args))
-            self._instances_memo[key] = found
-        return found
+        universe = self._universes.get(key)
+        if universe is None:
+            ordered = tuple(variables.items())
+            universe = self._memo.universes.get(ordered)
+            if universe is None:
+                universe = _Universe(self.abstraction, variables)
+                self._memo.charge(len(universe.instances))
+                self._memo.universes[ordered] = universe
+            self._universes[key] = universe
+        return universe
 
     # -- the transformation ------------------------------------------------------
 
@@ -187,19 +252,15 @@ class ClientTransformer:
         self, cfg: CFG, variables: Dict[str, str]
     ) -> BoolProgram:
         self._check_shallow(cfg)
+        universe = self._universe(variables)
         boolprog = BoolProgram(cfg.method)
         boolprog.entry = cfg.entry
         boolprog.exit = cfg.exit
-        for instance in self.instances_for(variables):
-            index = boolprog.variable(instance)
-            if (
-                len(set(instance.args)) <= 1
-                and reflexively_true(self.abstraction.family(instance.family))
-            ):
-                boolprog.initially_true.append(index)
+        boolprog.declare(universe.instances, universe.index)
+        boolprog.initially_true.extend(universe.initially_true)
         for edge in cfg.edges:
             checks, assigns, filters = self.transform_statement(
-                edge.stm, boolprog, variables
+                edge.stm, boolprog, variables, universe
             )
             boolprog.add_edge(
                 BoolEdge(
@@ -232,6 +293,7 @@ class ClientTransformer:
         stm,
         boolprog: BoolProgram,
         variables: Dict[str, str],
+        universe: _Universe,
     ) -> Tuple[List[Check], List[ParallelAssign], List[Tuple[int, bool]]]:
         checks: List[Check] = []
         assigns: List[ParallelAssign] = []
@@ -239,11 +301,10 @@ class ClientTransformer:
         if isinstance(stm, SCallComp):
             self._comp_op(
                 stm.op_key,
-                stm.binding_map,
+                stm.bindings,
                 stm.site_id,
                 stm.line,
-                boolprog,
-                variables,
+                universe,
                 checks,
                 assigns,
             )
@@ -251,16 +312,15 @@ class ClientTransformer:
             if stm.dst != stm.src:
                 self._comp_op(
                     f"copy {stm.type}",
-                    {"dst": stm.dst, "src": stm.src},
+                    (("dst", stm.dst), ("src", stm.src)),
                     site_id=-1,
                     line=stm.line,
-                    boolprog=boolprog,
-                    variables=variables,
+                    universe=universe,
                     checks=checks,
                     assigns=assigns,
                 )
         elif isinstance(stm, SNull) and self.spec.is_component_type(stm.type):
-            self._null_assign(stm.dst, boolprog, variables, assigns)
+            self._null_assign(stm.dst, universe, assigns)
         elif isinstance(stm, SAssume):
             self._assume(stm, boolprog, variables, filters)
         elif isinstance(stm, SCallClient):
@@ -272,73 +332,97 @@ class ClientTransformer:
                     f"(Section 8)"
                 )
             if self.on_client_call == "havoc":
-                self._havoc_statics(boolprog, variables, assigns)
+                self._havoc_statics(boolprog, universe, assigns)
         # SNop / SReturn / SNewClient / opaque statements: no effect
         return checks, assigns, filters
 
     def _comp_op(
         self,
         op_key: str,
-        binding: Dict[str, str],
+        bindings: Tuple[Tuple[str, str], ...],
         site_id: int,
         line: int,
-        boolprog: BoolProgram,
-        variables: Dict[str, str],
+        universe: _Universe,
         checks: List[Check],
         assigns: List[ParallelAssign],
     ) -> None:
-        memo_key = (
-            op_key,
-            tuple(sorted(binding.items())),
-            tuple(sorted(variables.items())),
+        template_key = (op_key, bindings)
+        template = universe.ops.get(template_key)
+        if template is None:
+            template = self._op_template(op_key, dict(bindings), universe)
+            self._memo.charge(len(template[0]) + len(template[1]))
+            universe.ops[template_key] = template
+        check_vars, ready = template
+        for var in check_vars:
+            checks.append(Check(site_id, line, op_key, var))
+        assigns.extend(ready)
+
+    def _op_template(
+        self, op_key: str, binding: Dict[str, str], universe: _Universe
+    ) -> tuple:
+        """``(check indices, assigns)`` of the operation over the
+        universe.  Operands bind declared component variables, so every
+        instance the operation mentions is in the universe."""
+        check_instances, assign_triples = self._op_symbolic(
+            op_key, binding, universe
         )
-        symbolic = self._comp_op_memo.get(memo_key)
-        if symbolic is None:
-            op = self.spec.operation(op_key)
-            op_abs = self.abstraction.operations[op_key]
-            check_instances = tuple(
-                Instance(
-                    check_ref.family,
-                    tuple(
-                        binding[arg.name]  # type: ignore[union-attr]
-                        for arg in check_ref.args
-                    ),
+        index = universe.index
+
+        def var(instance: Instance) -> int:
+            found = index.get(instance)
+            if found is None:
+                raise TransformError(
+                    f"{op_key} mentions {instance}, which is outside the "
+                    f"declared component variables"
                 )
-                for check_ref in op_abs.checks
-            )
-            assign_triples = []
-            for instance in self.instances_for(variables):
-                pattern, slot_vars = instance_pattern(
-                    op, self.spec, binding, instance.args
-                )
-                case = op_abs.case_for(instance.family, pattern)
-                if case is None:
-                    raise TransformError(
-                        f"no derived update case for {instance} against "
-                        f"{op_key} (pattern {pattern})"
-                    )
-                if case.identity:
-                    continue
-                sources = tuple(
-                    self._instantiate(ref, binding, slot_vars)
-                    for ref in case.rhs_instances
-                )
-                assign_triples.append((instance, sources, case.rhs_true))
-            symbolic = (check_instances, tuple(assign_triples))
-            self._comp_op_memo[memo_key] = symbolic
-        check_instances, assign_triples = symbolic
-        for instance in check_instances:
-            checks.append(
-                Check(site_id, line, op_key, boolprog.variable(instance))
-            )
-        for instance, sources, rhs_true in assign_triples:
-            assigns.append(
+            return found
+
+        return (
+            tuple(var(instance) for instance in check_instances),
+            tuple(
                 ParallelAssign(
-                    boolprog.variable(instance),
-                    tuple(boolprog.variable(s) for s in sources),
-                    rhs_true,
+                    var(instance), tuple(var(s) for s in sources), rhs_true
                 )
+                for instance, sources, rhs_true in assign_triples
+            ),
+        )
+
+    def _op_symbolic(
+        self, op_key: str, binding: Dict[str, str], universe: _Universe
+    ) -> tuple:
+        """The operation's checks and non-identity updates over the
+        universe, as instances."""
+        op = self.spec.operation(op_key)
+        op_abs = self.abstraction.operations[op_key]
+        check_instances = tuple(
+            Instance(
+                check_ref.family,
+                tuple(
+                    binding[arg.name]  # type: ignore[union-attr]
+                    for arg in check_ref.args
+                ),
             )
+            for check_ref in op_abs.checks
+        )
+        assign_triples = []
+        for instance in universe.instances:
+            pattern, slot_vars = instance_pattern(
+                op, self.spec, binding, instance.args
+            )
+            case = op_abs.case_for(instance.family, pattern)
+            if case is None:
+                raise TransformError(
+                    f"no derived update case for {instance} against "
+                    f"{op_key} (pattern {pattern})"
+                )
+            if case.identity:
+                continue
+            sources = tuple(
+                self._instantiate(ref, binding, slot_vars)
+                for ref in case.rhs_instances
+            )
+            assign_triples.append((instance, sources, case.rhs_true))
+        return check_instances, tuple(assign_triples)
 
     def _instantiate(
         self,
@@ -363,25 +447,27 @@ class ClientTransformer:
     def _null_assign(
         self,
         dst: str,
-        boolprog: BoolProgram,
-        variables: Dict[str, str],
+        universe: _Universe,
         assigns: List[ParallelAssign],
     ) -> None:
         """``dst = null``: every instance mentioning ``dst`` becomes 0,
         except reflexively-true instances whose arguments are all ``dst``
         (``same(x, x)`` holds for null too)."""
-        for instance in self.instances_for(variables):
-            if dst not in instance.args:
-                continue
-            family = self.abstraction.family(instance.family)
-            value_true = (
-                set(instance.args) == {dst} and reflexively_true(family)
-            )
-            assigns.append(
+        ready = universe.nulls.get(dst)
+        if ready is None:
+            ready = tuple(
                 ParallelAssign(
-                    boolprog.variable(instance), (), value_true
+                    index,
+                    (),
+                    set(instance.args) == {dst}
+                    and self.abstraction.is_reflexive(instance.family),
                 )
+                for index, instance in enumerate(universe.instances)
+                if dst in instance.args
             )
+            self._memo.charge(len(ready))
+            universe.nulls[dst] = ready
+        assigns.extend(ready)
 
     def _assume(
         self,
@@ -419,7 +505,7 @@ class ClientTransformer:
     def _havoc_statics(
         self,
         boolprog: BoolProgram,
-        variables: Dict[str, str],
+        universe: _Universe,
         assigns: List[ParallelAssign],
     ) -> None:
         """Conservative treatment of an unanalyzed client call.
@@ -432,7 +518,7 @@ class ClientTransformer:
         over-approximated by letting the affected instances become 1.
         Sound only for may-1 alarms; used by the ``havoc`` policy."""
         static_names = set(self.program.statics)
-        for instance in self.instances_for(variables):
+        for instance in universe.instances:
             family = self.abstraction.family(instance.family)
             affected = any(
                 arg in static_names for arg in instance.args

@@ -169,12 +169,36 @@ class DerivedAbstraction:
     families: List[Family]
     operations: Dict[str, OperationAbstraction]  # keyed by Operation.key
     stats: "object" = None  # DerivationStats; typed loosely to avoid cycle
+    #: client-transformation results over this abstraction, created and
+    #: filled by :class:`repro.certifier.transform.ClientTransformer` so
+    #: they are paid once per abstraction, not once per client; derived
+    #: data, so never compared and never pickled
+    transform_memo: Optional[object] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self) -> None:
+        # the family list is complete once the object exists (the
+        # deriver appends only while deriving, before constructing it),
+        # so the per-name tables are built once
+        self._by_name: Dict[str, Family] = {
+            fam.name: fam for fam in self.families
+        }
+        self._reflexive: Dict[str, bool] = {
+            fam.name: reflexively_true(fam) for fam in self.families
+        }
+
+    def __getstate__(self) -> Dict[str, object]:
+        state = dict(self.__dict__)
+        state["transform_memo"] = None
+        return state
 
     def family(self, name: str) -> Family:
-        for fam in self.families:
-            if fam.name == name:
-                return fam
-        raise KeyError(name)
+        return self._by_name[name]
+
+    def is_reflexive(self, name: str) -> bool:
+        """:func:`reflexively_true` of the family called ``name``."""
+        return self._reflexive[name]
 
     def families_by_sorts(self) -> Dict[Tuple[str, ...], List[Family]]:
         result: Dict[Tuple[str, ...], List[Family]] = {}
@@ -210,6 +234,20 @@ class DerivedAbstraction:
             ):
                 lines.append(str(op_abs))
         return "\n".join(lines)
+
+
+def reflexively_true(family: Family) -> bool:
+    """True when the family's formula folds to TRUE once all of its
+    variables are unified — the ``same(v, v) = 1`` simplification of
+    Fig. 8, also the correct value for an all-null instance."""
+    if family.arity == 0:
+        return False
+    from repro.derivation.derive import rename_bases
+    from repro.logic.formula import TRUE
+
+    unified = Base("$u", family.vars[0].sort)
+    mapping = {var: unified for var in family.vars}
+    return rename_bases(family.formula, mapping) is TRUE
 
 
 def instance_pattern(

@@ -118,6 +118,13 @@ class ComponentSpec:
                 raise SpecError(f"class {decl.name} declared twice")
             self.classes[decl.name] = decl
         self._check()
+        # the class table is fixed from here on (the Easl parser fills
+        # each ClassDecl before constructing the spec), so the operation
+        # table is built once; lowering, specialization and the
+        # transforms look operations up per client statement
+        self._operations: Dict[str, Operation] = {
+            op.key: op for op in self._build_operations()
+        }
 
     # -- basic queries -------------------------------------------------------
 
@@ -158,6 +165,15 @@ class ComponentSpec:
 
     def operations(self) -> List[Operation]:
         """Every operation a client may perform against the component."""
+        return list(self._operations.values())
+
+    def operation(self, key: str) -> Operation:
+        found = self._operations.get(key)
+        if found is None:
+            raise SpecError(f"unknown operation {key!r}")
+        return found
+
+    def _build_operations(self) -> List[Operation]:
         ops: List[Operation] = []
         for decl in self.classes.values():
             ops.append(self._new_operation(decl))
@@ -175,12 +191,6 @@ class ComponentSpec:
                 )
             )
         return ops
-
-    def operation(self, key: str) -> Operation:
-        for op in self.operations():
-            if op.key == key:
-                return op
-        raise SpecError(f"unknown operation {key!r}")
 
     def _new_operation(self, decl: ClassDecl) -> Operation:
         operands = [Operand("result", "r", decl.name)]

@@ -39,7 +39,6 @@ from repro.derivation.predicates import (
     OpArg,
     instance_pattern,
 )
-from repro.certifier.transform import reflexively_true
 from repro.lang.cfg import (
     SAssume,
     SCallComp,
@@ -461,12 +460,15 @@ class _Specializer:
                 for s in instance.slots
             ):
                 continue
-            family = self.abstraction.family(instance.family)
             all_var = all(
                 isinstance(s, VarSlot) and s.var == var
                 for s in instance.slots
             )
-            value = TRUE if all_var and reflexively_true(family) else FALSE
+            value = (
+                TRUE
+                if all_var and self.abstraction.is_reflexive(instance.family)
+                else FALSE
+            )
             var_args = tuple(
                 f"v{i}"
                 for i, s in enumerate(instance.slots)
@@ -492,7 +494,6 @@ class _Specializer:
         # reflexively-true instances hold on the fresh object's (null)
         # fields, e.g. same[.f,.f](n,n) — null == null
         for instance in self.instances:
-            family = self.abstraction.family(instance.family)
             field_positions = [
                 i
                 for i, s in enumerate(instance.slots)
@@ -505,7 +506,7 @@ class _Specializer:
             slot = instance.slots[0]
             if not isinstance(slot, FieldSlot) or slot.owner != stm.class_name:
                 continue
-            if not reflexively_true(family):
+            if not self.abstraction.is_reflexive(instance.family):
                 continue
             var_args = tuple(f"v{i}" for i in field_positions)
             guard = conj(
@@ -636,11 +637,10 @@ def specialized_translation(
         tvp = specializer.translate()
         initially_true = []
         for instance in specializer.instances:
-            family = specializer.abstraction.family(instance.family)
             if (
                 instance.arity == 0
                 and len({s for s in instance.slots}) <= 1
-                and reflexively_true(family)
+                and abstraction.is_reflexive(instance.family)
             ):
                 initially_true.append(instance.pred_name)
         tvp.initially_true_nullary = initially_true  # type: ignore[attr-defined]

@@ -7,8 +7,8 @@ from repro.certifier.transform import (
     ClientTransformer,
     TransformError,
     family_mentions_mutable_field,
-    reflexively_true,
 )
+from repro.derivation.predicates import reflexively_true
 from repro.lang import parse_program
 
 FIG3 = """
@@ -163,6 +163,8 @@ class TestHelpers:
         for family in cmp_abstraction.families:
             expected = names[family.name] == "same"
             assert reflexively_true(family) == expected
+            assert cmp_abstraction.is_reflexive(family.name) == expected
+            assert cmp_abstraction.family(family.name) is family
 
     def test_family_mutability_classification(
         self, cmp_abstraction, cmp_specification
