@@ -14,7 +14,6 @@ Two consequences are measured:
 
 import pytest
 
-from repro.api import certify_program
 from repro.derivation import DerivationDiverged, derive
 from repro.lang import parse_program
 from repro.suite import shallow_programs
@@ -48,10 +47,10 @@ def test_rule2_budget_growth(benchmark, spec):
     assert sizes[-1] >= 32
 
 
-def test_fds_equals_relational_with_rule2(benchmark, spec):
+def test_fds_equals_relational_with_rule2(benchmark, spec, certify):
     benchmark.pedantic(lambda: None, rounds=1)
     for bench in shallow_programs():
         program = parse_program(bench.source, spec)
-        fds = certify_program(program, "fds")
-        relational = certify_program(program, "relational")
+        fds = certify(program, "fds")
+        relational = certify(program, "relational")
         assert fds.alarm_sites() == relational.alarm_sites(), bench.name

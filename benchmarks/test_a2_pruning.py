@@ -21,7 +21,6 @@ two levels:
 
 import pytest
 
-from repro.api import certify_program
 from repro.derivation import DerivationDiverged, derive
 from repro.lang import parse_program
 from repro.runtime import ExplorationBudget, explore
@@ -44,13 +43,13 @@ def test_derivation_diverges_without_assumptions(benchmark, spec):
 
 
 @pytest.fixture(scope="module")
-def rows(spec):
+def rows(spec, certify):
     table = []
     for bench in shallow_programs():
         program = parse_program(bench.source, spec)
         truth = explore(program, _BUDGET)
-        pruned = certify_program(program, "fds", prune_requires=True)
-        unpruned = certify_program(program, "fds", prune_requires=False)
+        pruned = certify(program, "fds", prune_requires=True)
+        unpruned = certify(program, "fds", prune_requires=False)
         table.append((bench, truth, pruned, unpruned))
     return table
 

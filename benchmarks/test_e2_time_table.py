@@ -9,7 +9,6 @@ the generic composite-program analyses do strictly more work per edge.
 
 import pytest
 
-from repro.api import certify_program
 from repro.lang import parse_program
 from repro.suite import by_name
 
@@ -22,9 +21,9 @@ HEAP_CASES = ["holder_invalidate", "holders_loop"]
     "engine", ["fds", "relational", "interproc", "tvla-relational",
                "allocsite", "shapegraph"]
 )
-def test_time_shallow(benchmark, spec, name, engine):
+def test_time_shallow(benchmark, spec, certify, name, engine):
     program = parse_program(by_name(name).source, spec)
-    report = benchmark(certify_program, program, engine)
+    report = benchmark(certify, program, engine)
     assert report is not None
 
 
@@ -32,9 +31,9 @@ def test_time_shallow(benchmark, spec, name, engine):
 @pytest.mark.parametrize(
     "engine", ["tvla-relational", "tvla-independent", "shapegraph"]
 )
-def test_time_heap(benchmark, spec, name, engine):
+def test_time_heap(benchmark, spec, certify, name, engine):
     program = parse_program(by_name(name).source, spec)
-    report = benchmark(certify_program, program, engine)
+    report = benchmark(certify, program, engine)
     assert report is not None
 
 

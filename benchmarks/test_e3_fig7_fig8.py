@@ -10,7 +10,6 @@ and **more precise** (no false alarm at statement 7).
 
 import pytest
 
-from repro.api import certify_program
 from repro.certifier.transform import ClientTransformer
 from repro.generic_analysis import ShapeGraphDomain, analyze_generic
 from repro.lang import parse_program
@@ -26,16 +25,18 @@ def program(spec):
     return parse_program(FIG3.source, spec)
 
 
-def test_shape_graph_false_alarm_at_statement_7(benchmark, spec, program):
-    report = benchmark(certify_program, program, "shapegraph")
+def test_shape_graph_false_alarm_at_statement_7(
+    benchmark, spec, certify, program
+):
+    report = benchmark(certify, program, "shapegraph")
     assert I3_NEXT_LINE in report.alarm_lines()
     assert I3_NEXT_LINE not in FIG3.expected_error_lines
 
 
 def test_specialized_certifier_precise_at_statement_7(
-    benchmark, spec, program
+    benchmark, spec, certify, program
 ):
-    report = benchmark(certify_program, program, "fds")
+    report = benchmark(certify, program, "fds")
     assert I3_NEXT_LINE not in report.alarm_lines()
     assert report.alarm_lines() == FIG3.expected_error_lines
 

@@ -3,18 +3,17 @@
 Run with ``PYTHONPATH=src python examples/profile_certify.py``.
 
 Certifies ``holders_loop`` (the worst-case client of the suite) under
-cProfile twice — once on the interpreted path (FIFO worklist, recursive
-formula interpreter, no transfer memoization: the seed behaviour) and
-once on the optimized path (reverse-postorder worklist, compiled
-formulas, per-(action, canonical-key) transfer memoization) — and prints
-the top functions of each, plus the before/after wall-clock.
+cProfile on the one engine configuration — reverse-postorder worklist,
+bit-plane structures with compiled formulas, per-(action,
+canonical-key) transfer memoization — and prints the top functions plus
+the wall-clock.  Repeats run on one held session, after a warm-up
+certification has derived, inlined and specialized.
 
 Flags::
 
-    --interpreted-only / --compiled-only   profile just one path
-    --program NAME                         a different suite client
-    --reps N                               certifications per profile
-    --top N                                rows of the profile to print
+    --program NAME   a different suite client
+    --reps N         certifications per profile
+    --top N          rows of the profile to print
 """
 
 from __future__ import annotations
@@ -25,29 +24,15 @@ import io
 import pstats
 import time
 
-from repro.api import CertifyOptions, CertifySession
+from repro.api import CertifySession
 from repro.easl.library import cmp_spec
 from repro.lang.types import parse_program
 from repro.suite import all_programs
 
-INTERPRETED = CertifyOptions(
-    worklist="fifo", compiled_eval=False, memoize_transfers=False
-)
-COMPILED = CertifyOptions()  # rpo + compiled + memoized (the defaults)
 
-
-def profile_path(
-    label: str,
-    options: CertifyOptions,
-    program,
-    spec,
-    reps: int,
-    top: int,
-) -> float:
+def profile_certify(program, spec, reps: int, top: int) -> float:
     """Profile ``reps`` certifications; returns the wall-clock seconds."""
-    session = CertifySession(
-        spec, engine="tvla-relational", options=options
-    )
+    session = CertifySession(spec, engine="tvla-relational")
     session.certify_program(program)  # warm derive/inline/specialize
     profiler = cProfile.Profile()
     started = time.perf_counter()
@@ -59,14 +44,13 @@ def profile_path(
     buffer = io.StringIO()
     stats = pstats.Stats(profiler, stream=buffer)
     stats.sort_stats("cumulative").print_stats(top)
-    print(f"=== {label}: {reps} certification(s) in {elapsed:.3f}s ===")
+    print(f"=== {reps} certification(s) in {elapsed:.3f}s ===")
     # skip the pstats preamble; keep the table
     lines = buffer.getvalue().splitlines()
     table_from = next(
         i for i, line in enumerate(lines) if "ncalls" in line
     )
     print("\n".join(lines[table_from : table_from + top + 1]))
-    print()
     return elapsed
 
 
@@ -75,9 +59,6 @@ def main() -> int:
     parser.add_argument("--program", default="holders_loop")
     parser.add_argument("--reps", type=int, default=10)
     parser.add_argument("--top", type=int, default=15)
-    group = parser.add_mutually_exclusive_group()
-    group.add_argument("--interpreted-only", action="store_true")
-    group.add_argument("--compiled-only", action="store_true")
     args = parser.parse_args()
 
     spec = cmp_spec()
@@ -89,31 +70,8 @@ def main() -> int:
             f"unknown suite program {args.program!r}; see repro.suite"
         )
     program = parse_program(bench.source, spec)
-
-    before = after = None
-    if not args.compiled_only:
-        before = profile_path(
-            "interpreted (seed behaviour)",
-            INTERPRETED,
-            program,
-            spec,
-            args.reps,
-            args.top,
-        )
-    if not args.interpreted_only:
-        after = profile_path(
-            "compiled + memoized (defaults)",
-            COMPILED,
-            program,
-            spec,
-            args.reps,
-            args.top,
-        )
-    if before is not None and after is not None:
-        print(
-            f"{args.program}: {before:.3f}s -> {after:.3f}s "
-            f"({before / max(after, 1e-9):.1f}x)"
-        )
+    elapsed = profile_certify(program, spec, args.reps, args.top)
+    print(f"{args.program}: {elapsed / max(args.reps, 1):.4f}s per certification")
     return 0
 
 

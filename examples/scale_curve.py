@@ -83,8 +83,7 @@ def main() -> None:
     meta = doc.get("meta", {})
     print(
         f"scale curve: {len(doc['rows'])} cells,"
-        f" host_cpus={meta.get('host_cpus', '?')},"
-        f" packed={meta.get('packed', '?')}"
+        f" host_cpus={meta.get('host_cpus', '?')}"
     )
     chart(doc)
 

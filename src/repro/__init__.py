@@ -37,14 +37,7 @@ engine fallback, and per-phase tracing — see
 :mod:`repro.runtime.batch` and the ``repro batch`` CLI.
 """
 
-from repro.api import (
-    CertificationReport,
-    CertifyOptions,
-    CertifySession,
-    certify_program,
-    certify_source,
-    derive_abstraction,
-)
+from repro.api import CertificationReport, CertifyOptions, CertifySession
 
 __version__ = "1.1.0"
 
@@ -52,8 +45,5 @@ __all__ = [
     "CertificationReport",
     "CertifyOptions",
     "CertifySession",
-    "certify_program",
-    "certify_source",
-    "derive_abstraction",
     "__version__",
 ]

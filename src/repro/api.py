@@ -14,11 +14,7 @@ hidden in module-global state.  ``certify_many`` certifies a batch of
 clients against the same spec; the batch runtime
 (:mod:`repro.runtime.batch`) runs one session per worker job.
 
-:func:`certify_source` / :func:`certify_program` remain as the **legacy
-path**: thin wrappers that delegate to a session backed by a shared
-module-level cache.  New code should construct a session.
-
-Engines (``session.certify(...)`` or the wrappers pick one):
+Engines (``session.certify(...)`` picks one):
 
 ========================  =====================================================
 engine                    what runs
@@ -38,8 +34,6 @@ engine                    what runs
 from __future__ import annotations
 
 import contextlib
-import os
-import warnings
 from dataclasses import dataclass
 from typing import (
     Iterable,
@@ -65,9 +59,13 @@ from repro.generic_analysis import (
 )
 from repro.lang.inline import InlinedProgram, inline_program
 from repro.lang.types import Program, parse_program
-from repro.logic import compile as formula_compile
 from repro.logic import packed as packed_kernel
-from repro.runtime.cache import CacheStats, LRUCache, stable_key
+from repro.runtime.cache import (
+    DEFAULT_CACHE_SIZE,
+    CacheStats,
+    LRUCache,
+    stable_key,
+)
 from repro.runtime.guard import (
     DegradationLadder,
     ResourceExhausted,
@@ -96,12 +94,6 @@ ENGINES = (
     "shapegraph",
 )
 
-#: default bound for per-session (and the legacy module-level) caches
-DEFAULT_CACHE_SIZE = 64
-
-#: the legacy shared abstraction cache — bounded LRU, not a bare dict
-_ABSTRACTION_CACHE = LRUCache(DEFAULT_CACHE_SIZE, name="abstractions")
-
 
 def _identity_memo(cache: LRUCache, obj, extra, factory):
     """Memoize ``factory()`` per (object identity, extra key).
@@ -117,11 +109,6 @@ def _identity_memo(cache: LRUCache, obj, extra, factory):
     value = factory()
     cache.put(key, (obj, value))
     return value
-
-
-def abstraction_cache_stats() -> CacheStats:
-    """Counters for the shared (legacy-path) abstraction cache."""
-    return _ABSTRACTION_CACHE.stats()
 
 
 def _abstraction_key(
@@ -167,23 +154,12 @@ class CertifyOptions:
         assume a passing ``requires`` afterwards (the A2 ablation
         toggles this off);
     ``inline_depth``
-        recursion cut-off for the whole-program inliner;
-    ``worklist``
-        fixpoint scheduling: ``"rpo"`` (reverse-postorder priority,
-        the default) or ``"fifo"`` (the seed behaviour);
-    ``compiled_eval``
-        evaluate TVLA formulas through the closure compiler
-        (:mod:`repro.logic.compile`) instead of the recursive
-        interpreter;
-    ``memoize_transfers``
-        cache TVLA transfer results per (action, canonical-key) so
-        revisited structures skip focus/update/coerce;
-    ``packed``
-        run the TVLA engines over the packed bitset state kernel
-        (:mod:`repro.logic.packed`) instead of dict-of-tuples
-        structures.  ``None`` (the default) defers to the
-        ``REPRO_PACKED`` environment variable; alarm sets and emitted
-        certificates are byte-identical either way.
+        recursion cut-off for the whole-program inliner.
+
+    Every engine runs one configuration: reverse-postorder worklists
+    (:mod:`repro.util.worklist`), and for TVLA the bit-plane structure
+    kernel with compiled formulas (:mod:`repro.logic.packed`) and
+    transfers memoized per (action, canonical key).
 
     Resource governance (see :mod:`repro.runtime.guard`):
 
@@ -212,15 +188,11 @@ class CertifyOptions:
     entry: Optional[str] = None
     prune_requires: bool = True
     inline_depth: int = 12
-    worklist: str = "rpo"
-    compiled_eval: bool = True
-    memoize_transfers: bool = True
     deadline: Optional[float] = None
     max_steps: Optional[int] = None
     max_structures: Optional[int] = None
     ladder: Union[None, bool, Tuple[str, ...]] = None
     emit_certificate: bool = False
-    packed: Optional[bool] = None
     #: parent :class:`~repro.cert.ConformanceCertificate` to recertify
     #: incrementally from (see :mod:`repro.incr`).  Deliberately *not*
     #: part of the recorded options payload or the fingerprint: an
@@ -238,14 +210,11 @@ class CertifyOptions:
     summary_db: Optional[str] = None
 
 
-def packed_enabled(options: Optional[CertifyOptions] = None) -> bool:
-    """Whether the packed state kernel is active for these options.
-
-    An explicit ``CertifyOptions(packed=...)`` wins; otherwise the
-    ``REPRO_PACKED`` environment variable decides (default: off)."""
-    if options is not None and options.packed is not None:
-        return bool(options.packed)
-    return os.environ.get("REPRO_PACKED", "") in ("1", "true", "yes")
+def packed_enabled() -> bool:
+    """Whether the TVLA engines run the bit-plane state kernel: always,
+    since it is the only structure representation.  Kept for callers
+    that record it as run metadata."""
+    return True
 
 
 class CertifySession:
@@ -403,11 +372,10 @@ class CertifySession:
         caches keyed by interned formula and are shared by every engine
         constructed over this TVP.
         """
-        packed = packed_enabled(self.options)
 
         def build():
             tvp = specialized_translation(inlined, abstraction)
-            packed_kernel.precompile_tvp(tvp, packed=packed)
+            packed_kernel.precompile_tvp(tvp)
             return tvp
 
         return _identity_memo(
@@ -676,24 +644,12 @@ class CertifySession:
             abstraction = self.abstraction()
             tvp = self._specialize_tvp(inlined, abstraction)
             mode = engine.split("-", 1)[1]
-            packed = packed_enabled(options)
             engine_obj = _identity_memo(
                 self._engine_by_obj,
                 tvp,
-                (
-                    mode,
-                    options.prune_requires,
-                    options.worklist,
-                    options.memoize_transfers,
-                    packed,
-                ),
+                (mode, options.prune_requires),
                 lambda: TvlaEngine(
-                    tvp,
-                    mode=mode,
-                    prune_requires=options.prune_requires,
-                    worklist=options.worklist,
-                    memoize_transfers=options.memoize_transfers,
-                    packed=packed,
+                    tvp, mode=mode, prune_requires=options.prune_requires
                 ),
             )
             return {
@@ -752,7 +708,6 @@ class CertifySession:
                 program,
                 arts["abstraction"],
                 prune_requires=options.prune_requires,
-                worklist=options.worklist,
                 governor=governor,
                 summary_store=self._summary_store(),
             )
@@ -770,7 +725,6 @@ class CertifySession:
             report = certify(
                 arts["boolprog"],
                 prune_requires=options.prune_requires,
-                worklist=options.worklist,
                 governor=governor,
                 result_sink=sink,
             )
@@ -781,12 +735,7 @@ class CertifySession:
             return report
 
         if engine.startswith("tvla-"):
-            engine_obj = arts["engine_obj"]
-            if options.compiled_eval:
-                result = engine_obj.run(governor)
-            else:
-                with formula_compile.interpreted():
-                    result = engine_obj.run(governor)
+            result = arts["engine_obj"].run(governor)
             report = result.report
             if emit:
                 self._attach_certificate(
@@ -795,8 +744,7 @@ class CertifySession:
             return report
 
         generic = analyze_generic(
-            arts["inlined"], arts["domain"], engine,
-            worklist=options.worklist, governor=governor,
+            arts["inlined"], arts["domain"], engine, governor=governor
         )
         report = generic.report
         if emit:
@@ -815,82 +763,3 @@ class CertifySession:
             self._tvp_by_obj.stats(),
             self._engine_by_obj.stats(),
         ]
-
-
-# -- the legacy path -----------------------------------------------------------
-#
-# These module-level wrappers predate CertifySession and share one
-# process-wide abstraction cache.  They now warn: new code should hold a
-# session (warm derivations, explicit cache scope, governor options) and
-# call .abstraction()/.certify()/.certify_program() on it instead.
-
-
-def _warn_legacy(name: str, replacement: str) -> None:
-    warnings.warn(
-        f"repro.api.{name} is deprecated; use {replacement} "
-        "(see the 'Sessions' section of the README)",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-def derive_abstraction(
-    spec: ComponentSpec, *, identity_families: bool = False, **kwargs
-) -> DerivedAbstraction:
-    """Derive (and cache) the specialized abstraction of a specification.
-
-    .. deprecated::
-       Use :meth:`CertifySession.abstraction`.
-    """
-    _warn_legacy("derive_abstraction", "CertifySession(spec).abstraction()")
-    return _cached_abstraction(
-        _ABSTRACTION_CACHE, spec, identity_families, kwargs
-    )
-
-
-def certify_source(
-    source: str,
-    spec: ComponentSpec,
-    engine: str = "auto",
-    **kwargs,
-) -> CertificationReport:
-    """Parse a Jlite client and certify it against ``spec``.
-
-    .. deprecated::
-       Use :meth:`CertifySession.certify` — a held session keeps the
-       derived abstraction and transform caches warm across clients.
-    """
-    _warn_legacy("certify_source", "CertifySession(spec).certify(source)")
-    session = CertifySession(
-        spec, engine, CertifyOptions(**kwargs), cache=_ABSTRACTION_CACHE
-    )
-    return session.certify(source)
-
-
-def certify_program(
-    program: Program,
-    engine: str = "auto",
-    *,
-    entry: Optional[str] = None,
-    prune_requires: bool = True,
-    inline_depth: int = 12,
-) -> CertificationReport:
-    """Certify a parsed client with the chosen engine.
-
-    .. deprecated::
-       Use :meth:`CertifySession.certify_program`.
-    """
-    _warn_legacy(
-        "certify_program", "CertifySession(spec).certify_program(program)"
-    )
-    session = CertifySession(
-        program.spec,
-        engine,
-        CertifyOptions(
-            entry=entry,
-            prune_requires=prune_requires,
-            inline_depth=inline_depth,
-        ),
-        cache=_ABSTRACTION_CACHE,
-    )
-    return session.certify_program(program)

@@ -1,35 +1,21 @@
 """Experiment drivers shared by ``benchmarks/`` and ``examples/``."""
 
 from repro.bench.harness import (
-    ComparisonResult,
-    ComparisonRow,
     EngineRun,
-    KernelOpRow,
-    PackedComparisonResult,
-    PackedComparisonRow,
     ProgramResult,
     format_phase_table,
     format_table,
     results_to_json,
-    run_comparison,
     run_engine,
-    run_packed_comparison,
     run_precision_table,
 )
 
 __all__ = [
-    "ComparisonResult",
-    "ComparisonRow",
     "EngineRun",
-    "KernelOpRow",
-    "PackedComparisonResult",
-    "PackedComparisonRow",
     "ProgramResult",
     "format_phase_table",
     "format_table",
     "results_to_json",
-    "run_comparison",
     "run_engine",
-    "run_packed_comparison",
     "run_precision_table",
 ]

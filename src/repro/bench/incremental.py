@@ -29,12 +29,18 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 from repro.api import CertifyOptions, CertifySession
-from repro.bench.harness import _alarm_signature
 from repro.bench.synthetic import make_heap_client
 from repro.easl.library import cmp_spec
 from repro.easl.spec import ComponentSpec
 from repro.fuzz.edits import edit_sequence
 from repro.fuzz.generator import generate_client
+
+def _alarm_signature(report) -> List[Tuple]:
+    return sorted(
+        (a.site_id, a.op_key, a.instance, a.definite)
+        for a in report.alarms
+    )
+
 
 #: engine rotation for the equality corpus — every family that supports
 #: warm starts ("interproc" always falls back, so it would test nothing)

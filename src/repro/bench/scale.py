@@ -29,7 +29,7 @@ Two derived checks ride on the rows:
   alarm for accidental quadratic blowups.
 
 Every emitted JSON document carries the uniform host metadata
-(:func:`host_meta`): ``host_cpus``, ``python_version``, ``packed``.
+(:func:`host_meta`): ``host_cpus`` and ``python_version``.
 """
 
 from __future__ import annotations
@@ -54,21 +54,15 @@ DEFAULT_FAMILIES = tuple(sorted(SCALE_FAMILIES))
 DEFAULT_ENGINES = ("interproc",)
 
 
-def host_meta(packed: Optional[bool] = None) -> Dict[str, object]:
-    """Uniform per-document host metadata for committed BENCH files.
-
-    ``packed`` is the structure-representation default in effect for the
-    run; ``None`` means the ambient ``REPRO_PACKED`` resolution."""
+def host_meta() -> Dict[str, object]:
+    """Uniform per-document host metadata for committed BENCH files."""
     if hasattr(os, "sched_getaffinity"):
         cpus = len(os.sched_getaffinity(0))
     else:  # pragma: no cover - non-linux fallback
         cpus = os.cpu_count() or 1
-    if packed is None:
-        packed = os.environ.get("REPRO_PACKED", "") not in ("", "0")
     return {
         "host_cpus": cpus,
         "python_version": platform.python_version(),
-        "packed": bool(packed),
     }
 
 

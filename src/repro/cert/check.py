@@ -47,9 +47,9 @@ from repro.generic_analysis.framework import (
     _SpecRunner,
     _transfer as generic_transfer,
 )
+from repro.logic.packed import PackedStructure
 from repro.runtime.cache import LRUCache
 from repro.runtime.trace import phase
-from repro.logic import packed as packed_kernel
 from repro.tvla.engine import _alarm_list
 
 
@@ -98,11 +98,7 @@ class CertificateChecker:
     so checking a batch of certificates against one spec derives once.
     """
 
-    def __init__(self, packed: Optional[bool] = None) -> None:
-        #: structure-representation preference for replaying transfers;
-        #: ``None`` defers to ``REPRO_PACKED``.  The verdict is identical
-        #: either way — packed only changes how fast the replay runs.
-        self.packed = packed
+    def __init__(self) -> None:
         self._specs: Dict[str, ComponentSpec] = {}
         self._sessions: Dict[Tuple[str, str], CertifySession] = {}
         # parse/transform/derivation results are deterministic functions
@@ -138,8 +134,6 @@ class CertificateChecker:
                     entry=opts.get("entry"),
                     prune_requires=bool(opts.get("prune_requires", True)),
                     inline_depth=int(opts.get("inline_depth", 12)),
-                    worklist=str(opts.get("worklist", "rpo")),
-                    packed=self.packed,
                 ),
             )
         return self._sessions[key]
@@ -247,6 +241,14 @@ class CertificateChecker:
             raise _Reject(
                 "fingerprint-mismatch",
                 "engine/options fingerprint disagrees with recorded options",
+            )
+        if opts.get("worklist") != model.WORKLIST:
+            # every engine schedules in reverse postorder; a certificate
+            # claiming another order was not emitted by this pipeline
+            raise _Reject(
+                "malformed",
+                f"options record worklist {opts.get('worklist')!r}, "
+                f"the engines only run {model.WORKLIST!r}",
             )
 
         verdict = payload.get("verdict")
@@ -449,7 +451,6 @@ class CertificateChecker:
             program,
             arts["abstraction"],
             prune_requires=session.options.prune_requires,
-            worklist=session.options.worklist,
         )
         try:
             contexts: Dict[Tuple[str, int], dict] = {}
@@ -584,18 +585,9 @@ class CertificateChecker:
         # pool (canonicalizing defensively): internal consistency, never
         # trust recorded keys
         pool = [
-            model.structure_from_json(entry)
+            model.structure_from_json(entry).canonicalize(preds)
             for entry in annotation.get("pool", [])
         ]
-        if engine_obj.packed:
-            # re-encode into the packed representation so replayed
-            # transfers and key comparisons run on the same kernel the
-            # engine uses; keys from mixed representations never meet
-            pool = [
-                packed_kernel.PackedStructure.from_dense(structure)
-                for structure in pool
-            ]
-        pool = [structure.canonicalize(preds) for structure in pool]
         keys = [structure.canonical_key(preds) for structure in pool]
         valid_nodes = set(tvp.nodes())
         alarms: Dict[Tuple[int, str], object] = {}
@@ -652,7 +644,7 @@ class CertificateChecker:
             entry_structure = singles.get(tvp.entry)
             if entry_structure is None:
                 raise _Reject("entry", "entry node is not annotated")
-            joined = type(entry_structure).join(
+            joined = PackedStructure.join(
                 entry_structure, initial, preds
             ).canonicalize(preds)
             if joined.canonical_key(preds) != single_keys[tvp.entry]:
@@ -674,7 +666,7 @@ class CertificateChecker:
                                 "annotated",
                                 edge=(node, edge.dst),
                             )
-                        merged = type(old).join(
+                        merged = PackedStructure.join(
                             old, out, preds
                         ).canonicalize(preds)
                         if merged.canonical_key(preds) != single_keys[edge.dst]:

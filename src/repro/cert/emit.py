@@ -36,7 +36,7 @@ def options_payload(options) -> Dict[str, object]:
         "entry": options.entry,
         "prune_requires": options.prune_requires,
         "inline_depth": options.inline_depth,
-        "worklist": options.worklist,
+        "worklist": model.WORKLIST,
     }
 
 

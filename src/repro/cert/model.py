@@ -21,10 +21,16 @@ from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple
 
 from repro.certifier.report import Alarm
 from repro.logic.kleene import Kleene
-from repro.tvla.three_valued import ThreeValuedStructure
+from repro.logic.packed import PackedStructure
 
 CERT_FORMAT = "repro-cert"
 CERT_VERSION = 1
+
+#: the worklist order recorded in every certificate's options.  The
+#: engines only schedule in reverse postorder, so this is a constant; it
+#: stays in the payload to keep certificate bytes and the format version
+#: stable, and the checker rejects any other value
+WORKLIST = "rpo"
 
 #: Engine stats that are deterministic functions of (spec, program,
 #: options) and therefore safe to embed in a byte-stable artifact.
@@ -291,7 +297,7 @@ def absolute_annotation(annotation: Mapping[str, object]) -> Dict[str, object]:
 # HALF=2).
 
 
-def structure_to_json(structure: ThreeValuedStructure, preds) -> Dict[str, object]:
+def structure_to_json(structure: PackedStructure, preds) -> Dict[str, object]:
     order = sorted(
         structure.nodes,
         key=lambda n: (
@@ -328,9 +334,9 @@ def structure_to_json(structure: ThreeValuedStructure, preds) -> Dict[str, objec
     }
 
 
-def structure_from_json(payload: Mapping[str, object]) -> ThreeValuedStructure:
+def structure_from_json(payload: Mapping[str, object]) -> PackedStructure:
     try:
-        structure = ThreeValuedStructure()
+        structure = PackedStructure()
         nodes = [
             structure.new_node(summary=bool(bit)) for bit in payload["summary"]
         ]

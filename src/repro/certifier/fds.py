@@ -77,16 +77,12 @@ class FdsSolver:
         self,
         *,
         prune_requires: bool = True,
-        worklist: str = "rpo",
         governor: Optional[ResourceGovernor] = None,
     ) -> None:
         #: assume a checked predicate is 0 after a passing check — the
         #: component throws on violation, so later states only arise from
         #: passing executions (the A2 ablation toggles this)
         self.prune_requires = prune_requires
-        #: node-scheduling strategy: "rpo" (reverse postorder, fewer
-        #: iterations) or "fifo" (the seed behaviour)
-        self.worklist_order = worklist
         #: cooperative resource budgets, polled once per iteration
         self.governor = governor
 
@@ -99,7 +95,6 @@ class FdsSolver:
         init_zero = all_vars & ~init_one
         provenance: Dict[Tuple[int, int], tuple] = {}
         worklist = make_worklist(
-            self.worklist_order,
             program.entry,
             lambda n: [e.dst for e in program.out_edges(n)],
         )
@@ -290,7 +285,6 @@ def certify_fds(
     program: BoolProgram,
     *,
     prune_requires: bool = True,
-    worklist: str = "rpo",
     governor: Optional[ResourceGovernor] = None,
     result_sink: Optional[List[FdsResult]] = None,
     seed: Optional[BitmaskSeed] = None,
@@ -304,7 +298,6 @@ def certify_fds(
     with trace_phase("fixpoint", engine="fds") as trace_meta:
         result = FdsSolver(
             prune_requires=prune_requires,
-            worklist=worklist,
             governor=governor,
         ).solve(program, seed)
         trace_meta.update(

@@ -58,11 +58,7 @@ from repro.logic.terms import Base, Field
 from repro.runtime import guard as _guard
 from repro.runtime.guard import ResourceExhausted, ResourceGovernor
 from repro.runtime.trace import phase as trace_phase
-from repro.util.worklist import (
-    FifoWorklist,
-    PriorityWorklist,
-    reverse_postorder,
-)
+from repro.util.worklist import PriorityWorklist, reverse_postorder
 
 GHOST_SUFFIX = "##in"
 PHANTOM_SUFFIX = "##ph"
@@ -169,7 +165,6 @@ class InterproceduralCertifier:
         abstraction: DerivedAbstraction,
         *,
         prune_requires: bool = True,
-        worklist: str = "rpo",
         governor: Optional[ResourceGovernor] = None,
         summary_store=None,
     ) -> None:
@@ -193,7 +188,6 @@ class InterproceduralCertifier:
             if self.spec.is_component_type(type_)
         }
         self.spaces: Dict[str, ProcSpace] = {}
-        self.worklist_order = worklist
         #: cooperative resource budgets, polled in both worklist loops
         self.governor = governor
         #: per-space reverse-postorder priorities for the local fixpoints
@@ -246,8 +240,6 @@ class InterproceduralCertifier:
         The RPO map is computed once per fact space and reused by every
         (method, entry-vector) context analyzed over it.
         """
-        if self.worklist_order == "fifo":
-            return FifoWorklist()
         priority = self._rpo.get(qualified)
         if priority is None:
             priority = reverse_postorder(

@@ -74,13 +74,11 @@ class RelationalSolver:
         prune_requires: bool = True,
         apply_filters: bool = True,
         state_budget: int = 200_000,
-        worklist: str = "rpo",
         governor: Optional[ResourceGovernor] = None,
     ) -> None:
         self.prune_requires = prune_requires
         self.apply_filters = apply_filters
         self.state_budget = state_budget
-        self.worklist_order = worklist
         self.governor = governor
 
     def solve(
@@ -89,7 +87,6 @@ class RelationalSolver:
         governor = self.governor
         init = frozenset([program.initial_mask()])
         worklist = make_worklist(
-            self.worklist_order,
             program.entry,
             lambda n: [e.dst for e in program.out_edges(n)],
         )

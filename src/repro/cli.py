@@ -18,8 +18,8 @@ Batch certification on a process pool (see :mod:`repro.runtime.batch`)::
 Suite benchmarks (see :mod:`repro.bench.harness`)::
 
     repro bench --json table.json                # precision table
-    repro bench --compare --json BENCH_pr2.json  # interpreted vs compiled
-    repro bench --compare --check --min-speedup 2.0
+    repro bench --incremental --check            # warm-start vs scratch
+    repro bench --scale --json BENCH_scale.json  # size sweep
 
 Differential fuzzing with the soundness gate (see :mod:`repro.fuzz`)::
 
@@ -295,9 +295,10 @@ def build_bench_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro bench",
         description=(
-            "Run the suite benchmark: the precision table (default) or "
-            "the interpreted-vs-compiled comparison (--compare), with "
-            "machine-readable --json output and CI gating (--check)."
+            "Run the suite benchmark: the precision table (default), the "
+            "incremental-recertification bench (--incremental) or the "
+            "scale harness (--scale), with machine-readable --json "
+            "output and CI gating (--check)."
         ),
     )
     parser.add_argument(
@@ -311,33 +312,6 @@ def build_bench_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="E1,E2,...",
         help="comma-separated engine subset for the precision table",
-    )
-    parser.add_argument(
-        "--compare",
-        action="store_true",
-        help="run the optimized-vs-interpreted comparison (both paths "
-        "in the same run) instead of the precision table",
-    )
-    parser.add_argument(
-        "--packed-compare",
-        action="store_true",
-        help="run the packed-kernel-vs-dict comparison (cold / "
-        "fresh-engine steady / warm-replay protocols, kernel-op "
-        "microbenchmarks, checker replay, multiprocess batch scaling) "
-        "on the loop-heavy synthetic clients",
-    )
-    parser.add_argument(
-        "--sizes",
-        default=None,
-        metavar="S:F:L:R,...",
-        help="comma-separated heap-client sizes for --packed-compare "
-        "(sets:fields:loops:reads; default 3:3:2:3,4:4:2:4,4:4:3:4)",
-    )
-    parser.add_argument(
-        "--batch-workers",
-        default="1,4",
-        metavar="N1,N2",
-        help="worker counts for the --packed-compare batch-scaling row",
     )
     parser.add_argument(
         "--incremental",
@@ -439,17 +413,12 @@ def build_bench_parser() -> argparse.ArgumentParser:
         "(summary-DB hit) run is at least X times faster than cold",
     )
     parser.add_argument(
-        "--engine",
-        default="tvla-relational",
-        choices=ENGINES,
-        help="engine for --compare mode",
-    )
-    parser.add_argument(
         "--reps",
         type=int,
         default=5,
         metavar="N",
-        help="timed repetitions per program in --compare mode",
+        help="timed repetitions per point of the --incremental speedup "
+        "curve",
     )
     parser.add_argument(
         "--programs",
@@ -462,15 +431,16 @@ def build_bench_parser() -> argparse.ArgumentParser:
         type=float,
         default=None,
         metavar="X",
-        help="with --check and --compare, fail unless the aggregate "
-        "steady-state speedup is at least X",
+        help="with --check and --incremental, fail unless the "
+        "single-edit warm-start speedup is at least X",
     )
     parser.add_argument(
         "--check",
         action="store_true",
         help="gate for CI: fail if any engine misses a real error "
-        "(precision table) or the paths' alarm sets differ / the "
-        "speedup floor is not met (--compare)",
+        "(precision table), certificates or alarm sets differ / the "
+        "speedup floor is not met (--incremental), or a scale gate "
+        "trips (--scale)",
     )
     parser.add_argument(
         "--json",
@@ -1124,11 +1094,7 @@ def fuzz_main(argv: Optional[List[str]] = None) -> int:
 
 
 def bench_main(argv: Optional[List[str]] = None) -> int:
-    from repro.bench import (
-        results_to_json,
-        run_comparison,
-        run_precision_table,
-    )
+    from repro.bench import results_to_json, run_precision_table
     from repro.bench.harness import format_table
     from repro.suite import all_programs
 
@@ -1244,66 +1210,6 @@ def bench_main(argv: Optional[List[str]] = None) -> int:
         ok = result.ok(args.min_speedup or 0.0)
         if not args.quiet:
             print(result.format(args.min_speedup or 0.0))
-    elif args.packed_compare:
-        from repro.bench.harness import run_packed_comparison
-
-        sizes = None
-        if args.sizes:
-            try:
-                sizes = [
-                    tuple(int(part) for part in chunk.split(":"))
-                    for chunk in args.sizes.split(",")
-                ]
-                if any(len(size) != 4 for size in sizes):
-                    raise ValueError("each size needs 4 fields")
-            except ValueError as error:
-                print(f"error: bad --sizes: {error}", file=sys.stderr)
-                return 2
-        try:
-            workers = [
-                int(part) for part in args.batch_workers.split(",")
-            ]
-        except ValueError:
-            print(
-                f"error: bad --batch-workers: {args.batch_workers!r}",
-                file=sys.stderr,
-            )
-            return 2
-        kwargs = {"reps": args.reps, "batch_workers": workers,
-                  "spec_name": args.spec}
-        if sizes:
-            kwargs["sizes"] = sizes
-        comparison = run_packed_comparison(
-            spec=spec, options=options, **kwargs
-        )
-        payload = comparison.to_json()
-        # the CI floor applies to the honest end-to-end steady-state
-        # aggregate; alarm equality and certificate identity always gate
-        ok = (
-            comparison.alarms_equal
-            and comparison.certificates_identical
-            and (
-                args.min_speedup is None
-                or comparison.steady_speedup >= args.min_speedup
-            )
-        )
-        if not args.quiet:
-            print(comparison.format())
-    elif args.compare:
-        comparison = run_comparison(
-            spec=spec,
-            engine=args.engine,
-            programs=programs,
-            reps=args.reps,
-            options=options,
-        )
-        payload = comparison.to_json()
-        ok = comparison.alarms_equal and (
-            args.min_speedup is None
-            or comparison.speedup >= args.min_speedup
-        )
-        if not args.quiet:
-            print(comparison.format())
     else:
         engines = (
             [e.strip() for e in args.engines.split(",")]
@@ -1330,8 +1236,8 @@ def bench_main(argv: Optional[List[str]] = None) -> int:
     from repro.bench.scale import host_meta
 
     # every committed BENCH_*.json row set carries the same host
-    # provenance (cpu count, python version, packed kernel), whichever
-    # bench mode produced it
+    # provenance (cpu count, python version), whichever bench mode
+    # produced it
     payload.setdefault("meta", host_meta())
     if args.json == "-":
         print(json.dumps(payload, indent=2, sort_keys=True))

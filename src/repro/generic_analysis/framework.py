@@ -337,15 +337,13 @@ def analyze_generic(
     domain: HeapDomain,
     engine_name: str,
     max_iterations: int = 200_000,
-    worklist: str = "rpo",
     governor: Optional[ResourceGovernor] = None,
     seed: Optional[GenericSeed] = None,
 ) -> GenericResult:
     """Run a generic heap analysis over the composite program."""
     with trace_phase("fixpoint", engine=engine_name) as trace_meta:
         result = _analyze_generic(
-            inlined, domain, engine_name, max_iterations, worklist,
-            governor, seed,
+            inlined, domain, engine_name, max_iterations, governor, seed,
         )
         trace_meta["iterations"] = result.iterations
     return result
@@ -390,7 +388,6 @@ def _analyze_generic(
     domain: HeapDomain,
     engine_name: str,
     max_iterations: int,
-    worklist_order: str = "rpo",
     governor: Optional[ResourceGovernor] = None,
     seed: Optional[GenericSeed] = None,
 ) -> GenericResult:
@@ -398,7 +395,6 @@ def _analyze_generic(
     runner = _SpecRunner(spec, domain)
     cfg = inlined.cfg
     worklist = make_worklist(
-        worklist_order,
         cfg.entry,
         lambda n: [e.dst for e in cfg.out_edges(n)],
     )

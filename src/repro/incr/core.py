@@ -43,8 +43,6 @@ from repro.incr.dirty import (
     tvp_edge_label,
 )
 from repro.lang.types import parse_program
-from repro.logic import compile as formula_compile
-from repro.logic import packed as packed_kernel
 from repro.runtime.trace import note, phase
 from repro.tvla.engine import TvlaSeed
 
@@ -226,7 +224,6 @@ def _recertify_bool(session, engine, arts, parent_arts, annotation, governor):
         report = certify_fds(
             boolprog,
             prune_requires=options.prune_requires,
-            worklist=options.worklist,
             governor=governor,
             result_sink=sink,
             seed=seed,
@@ -253,7 +250,6 @@ def _recertify_bool(session, engine, arts, parent_arts, annotation, governor):
         report = certify_relational(
             boolprog,
             prune_requires=options.prune_requires,
-            worklist=options.worklist,
             governor=governor,
             result_sink=sink,
             seed=seed,
@@ -286,17 +282,11 @@ def _recertify_tvla(session, arts, parent_arts, annotation, governor, cache):
     if cached is None:
         try:
             pool = [
-                model.structure_from_json(entry)
+                model.structure_from_json(entry).canonicalize(preds)
                 for entry in annotation.get("pool", [])
             ]
         except Exception:
             raise _Fallback("annotation-decode")
-        if engine_obj.packed:
-            pool = [
-                packed_kernel.PackedStructure.from_dense(structure)
-                for structure in pool
-            ]
-        pool = [structure.canonicalize(preds) for structure in pool]
         keys = [structure.canonical_key(preds) for structure in pool]
         cache["tvla_pool"] = (pool, keys)
     else:
@@ -343,11 +333,7 @@ def _recertify_tvla(session, arts, parent_arts, annotation, governor, cache):
                 if n in single
             ),
         )
-    if session.options.compiled_eval:
-        result = engine_obj.run(governor, seed)
-    else:
-        with formula_compile.interpreted():
-            result = engine_obj.run(governor, seed)
+    result = engine_obj.run(governor, seed)
     report = result.report
     return report, {"result": result}, len(clean), len(set(tvp.nodes()))
 
@@ -395,7 +381,6 @@ def _recertify_generic(
         arts["inlined"],
         domain,
         engine,
-        worklist=session.options.worklist,
         governor=governor,
         seed=seed,
     )

@@ -1,38 +1,26 @@
-"""Compiled formula evaluation with hash-consing (the performance layer).
+"""Formula hash-consing and the shared compiled-formula protocol.
 
 The TVLA engine evaluates the same handful of formulas — the action
 updates and ``requires`` conditions of the specialized TVP program —
-millions of times across focus/update/coerce.  The recursive
-``isinstance`` interpreter in :meth:`ThreeValuedStructure._eval` pays
-dispatch on every node and copies the environment dict on every
-quantifier binding.  This module removes both costs:
+millions of times across focus/update/coerce.  The bit-plane compiler
+in :mod:`repro.logic.packed` turns each formula into flat closures once;
+this module holds what it builds on, plus the heap-domain variant:
 
 * :func:`intern` hash-conses :class:`~repro.logic.formula.Formula`
   nodes, so structurally-equal formulas become reference-equal and share
   one compiled evaluator;
-* :func:`compile_formula` compiles a formula **once** into a tree of
-  flat closures.  Free and quantified variables become positional slots
-  in a single reusable list — quantifiers are plain loops that write
-  their slot in place (no ``{**env, var: node}`` dict per binding), and
-  every connective short-circuits exactly like the interpreter;
-* :func:`evaluate` is the drop-in replacement for
-  ``ThreeValuedStructure._eval`` used by
-  :meth:`ThreeValuedStructure.eval`;
+* :class:`CompiledFormula` is the slot protocol every compiled formula
+  follows: free and quantified variables become positional slots in a
+  single reusable list, so quantifiers are plain loops that write their
+  slot in place (no ``{**env, var: node}`` dict per binding);
 * :func:`compile_condition` gives the generic-analysis certifiers the
   same treatment for their 3-valued (``True``/``False``/``None``)
   condition evaluation over heap domains, with atom evaluation (which
   threads abstract state) left to a callback.
-
-The interpreted path stays available — ``with interpreted(): ...``
-disables compilation process-wide, which the bench harness uses to
-measure the speedup honestly in a single run, and the
-``REPRO_INTERPRETED=1`` environment variable disables it at import time
-for profiling.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -47,35 +35,8 @@ from repro.logic.formula import (
     PredAtom,
     Truth,
 )
-from repro.logic.kleene import FALSE3, HALF, Kleene, TRUE3
+from repro.logic.kleene import Kleene
 from repro.logic.terms import Base
-
-# -- toggle ---------------------------------------------------------------------
-
-_enabled = os.environ.get("REPRO_INTERPRETED", "") not in ("1", "true", "yes")
-
-
-def compilation_enabled() -> bool:
-    """Whether :meth:`ThreeValuedStructure.eval` uses compiled closures."""
-    return _enabled
-
-
-def set_compilation(enabled: bool) -> None:
-    global _enabled
-    _enabled = bool(enabled)
-
-
-class interpreted:
-    """Context manager forcing the interpreted evaluator (bench baseline)."""
-
-    def __enter__(self) -> "interpreted":
-        self._saved = _enabled
-        set_compilation(False)
-        return self
-
-    def __exit__(self, *exc) -> None:
-        set_compilation(self._saved)
-
 
 # -- hash-consing ----------------------------------------------------------------
 
@@ -115,16 +76,10 @@ def intern(formula: Formula) -> Formula:
     raise TypeError(f"unknown formula node {formula!r}")
 
 
-def intern_table_size() -> int:
-    return len(_INTERN)
-
-
-# -- compilation to closures -----------------------------------------------------
+# -- the compiled-formula protocol -----------------------------------------------
 
 #: a compiled node: ``(structure, slots) -> Kleene``
 EvalFn = Callable[[object, List[int]], Kleene]
-
-_EMPTY: Dict = {}
 
 
 @dataclass(frozen=True)
@@ -152,158 +107,6 @@ class CompileError(TypeError):
     """The formula contains constructs the closure compiler rejects
     (e.g. equality over non-variable terms); callers fall back to the
     interpreter."""
-
-
-def _compile_node(
-    formula: Formula, slot_of: Dict[str, int], high_water: List[int]
-) -> EvalFn:
-    if isinstance(formula, Truth):
-        constant = TRUE3 if formula.value else FALSE3
-
-        def eval_truth(S, env, constant=constant):
-            return constant
-
-        return eval_truth
-
-    if isinstance(formula, PredAtom):
-        name = formula.name
-        try:
-            slots = tuple(slot_of[a] for a in formula.args)
-        except KeyError as missing:
-            raise CompileError(
-                f"unbound variable {missing} in {formula}"
-            ) from None
-        if not slots:
-
-            def eval_nullary(S, env, name=name):
-                return S.nullary.get(name, FALSE3)
-
-            return eval_nullary
-        if len(slots) == 1:
-            slot = slots[0]
-
-            def eval_unary(S, env, name=name, slot=slot):
-                return S.unary.get(name, _EMPTY).get(env[slot], FALSE3)
-
-            return eval_unary
-        if len(slots) == 2:
-            i, j = slots
-
-            def eval_binary(S, env, name=name, i=i, j=j):
-                return S.binary.get(name, _EMPTY).get(
-                    (env[i], env[j]), FALSE3
-                )
-
-            return eval_binary
-        raise CompileError(f"unsupported predicate arity in {formula}")
-
-    if isinstance(formula, EqAtom):
-        if not isinstance(formula.lhs, Base) or not isinstance(
-            formula.rhs, Base
-        ):
-            raise CompileError(
-                f"3-valued equality supports logical variables only; "
-                f"got {formula}"
-            )
-        try:
-            i = slot_of[formula.lhs.name]
-            j = slot_of[formula.rhs.name]
-        except KeyError as missing:
-            raise CompileError(
-                f"unbound variable {missing} in {formula}"
-            ) from None
-
-        def eval_eq(S, env, i=i, j=j):
-            lhs = env[i]
-            if lhs != env[j]:
-                return FALSE3
-            return HALF if S.summary.get(lhs, False) else TRUE3
-
-        return eval_eq
-
-    if isinstance(formula, Not):
-        body = _compile_node(formula.body, slot_of, high_water)
-
-        def eval_not(S, env, body=body):
-            return body(S, env).logical_not()
-
-        return eval_not
-
-    if isinstance(formula, And):
-        parts = tuple(
-            _compile_node(a, slot_of, high_water) for a in formula.args
-        )
-
-        def eval_and(S, env, parts=parts):
-            result = TRUE3
-            for part in parts:
-                value = part(S, env)
-                if value is FALSE3:
-                    return FALSE3
-                if value is HALF:
-                    result = HALF
-            return result
-
-        return eval_and
-
-    if isinstance(formula, Or):
-        parts = tuple(
-            _compile_node(a, slot_of, high_water) for a in formula.args
-        )
-
-        def eval_or(S, env, parts=parts):
-            result = FALSE3
-            for part in parts:
-                value = part(S, env)
-                if value is TRUE3:
-                    return TRUE3
-                if value is HALF:
-                    result = HALF
-            return result
-
-        return eval_or
-
-    if isinstance(formula, (Exists, Forall)):
-        saved = slot_of.get(formula.var)
-        # a shadowing binder still needs its own slot; allocate past the
-        # high-water mark so sibling binders never clash
-        slot = max(len(slot_of), high_water[0])
-        slot_of[formula.var] = slot
-        high_water[0] = max(high_water[0], slot + 1)
-        body = _compile_node(formula.body, slot_of, high_water)
-        if saved is None:
-            del slot_of[formula.var]
-        else:
-            slot_of[formula.var] = saved
-        if isinstance(formula, Exists):
-
-            def eval_exists(S, env, body=body, slot=slot):
-                result = FALSE3
-                for node in S.nodes:
-                    env[slot] = node
-                    value = body(S, env)
-                    if value is TRUE3:
-                        return TRUE3
-                    if value is HALF:
-                        result = HALF
-                return result
-
-            return eval_exists
-
-        def eval_forall(S, env, body=body, slot=slot):
-            result = TRUE3
-            for node in S.nodes:
-                env[slot] = node
-                value = body(S, env)
-                if value is FALSE3:
-                    return FALSE3
-                if value is HALF:
-                    result = HALF
-            return result
-
-        return eval_forall
-
-    raise CompileError(f"unknown formula node {formula!r}")
 
 
 def _free_vars_ordered(formula: Formula) -> Tuple[str, ...]:
@@ -336,71 +139,6 @@ def _free_vars_ordered(formula: Formula) -> Tuple[str, ...]:
 
     walk(formula)
     return tuple(seen)
-
-
-#: compiled-evaluator cache keyed by the *interned* formula
-_COMPILED: Dict[Formula, Optional[CompiledFormula]] = {}
-
-#: per-object fast path: id -> (formula ref, compiled-or-None).  Holding
-#: the reference keeps the id stable; formulas are built once per
-#: derivation, so this stays small.
-_BY_ID: Dict[int, Tuple[Formula, Optional[CompiledFormula]]] = {}
-
-
-def compile_formula(formula: Formula) -> Optional[CompiledFormula]:
-    """Compile (and cache) a formula; ``None`` if it is not compilable.
-
-    The cache is two-level: a per-object identity map (no hashing of the
-    formula tree on the hot path) backed by a structural map over
-    interned formulas (equal formulas share one evaluator).
-    """
-    entry = _BY_ID.get(id(formula))
-    if entry is not None and entry[0] is formula:
-        return entry[1]
-    canonical = intern(formula)
-    compiled = _COMPILED.get(canonical, _MISSING)
-    if compiled is _MISSING:
-        free = _free_vars_ordered(canonical)
-        slot_of = {name: index for index, name in enumerate(free)}
-        high_water = [len(free)]
-        try:
-            fn = _compile_node(canonical, slot_of, high_water)
-        except CompileError:
-            compiled = None
-        else:
-            compiled = CompiledFormula(
-                canonical, free, high_water[0], fn
-            )
-        _COMPILED[canonical] = compiled
-    _BY_ID[id(formula)] = (formula, compiled)
-    return compiled
-
-
-_MISSING = object()
-
-
-def evaluate(
-    structure, formula: Formula, env: Optional[Dict[str, int]] = None
-) -> Kleene:
-    """Evaluate ``formula`` on a 3-valued structure via the compiled path.
-
-    Falls back to the structure's interpreter for formulas the compiler
-    rejects, so the result always matches ``structure._eval``.
-    """
-    compiled = compile_formula(formula)
-    if compiled is None:
-        return structure._eval(formula, env or {})
-    return compiled(structure, env)
-
-
-def compiled_cache_stats() -> Dict[str, int]:
-    """Counters for tests and the bench harness."""
-    return {
-        "interned": len(_INTERN),
-        "compiled": sum(1 for v in _COMPILED.values() if v is not None),
-        "uncompilable": sum(1 for v in _COMPILED.values() if v is None),
-        "by_id": len(_BY_ID),
-    }
 
 
 # -- generic-analysis conditions -------------------------------------------------

@@ -1,10 +1,12 @@
-"""Packed bitset representation of 3-valued structures (the state kernel).
+"""3-valued logical structures over bit planes (the state kernel).
 
-The dict representation in :class:`repro.tvla.three_valued.ThreeValuedStructure`
-stores every predicate as a ``Dict[tuple, Kleene]``: each copy during
-focus/update walks and rebuilds those dicts, each canonicalization folds
-them entry by entry, and each canonical key hashes frozensets of tuples.
-For loop-heavy heap clients those three operations dominate the fixpoint.
+A 3-valued structure is ``(U, ι)`` where each predicate maps tuples over
+``U`` to a :class:`~repro.logic.kleene.Kleene` value (Section 5.5).
+Individuals carry a *summary* bit: a summary individual may represent
+several concrete objects, so equality on it evaluates to ``1/2``.
+Canonical abstraction merges individuals with identical unary
+abstraction-predicate vectors, joining predicate values in the
+information order and marking merged individuals as summaries.
 
 :class:`PackedStructure` stores each predicate's valuation as **two
 bitmask integers** — a *definite-true plane* and a *maybe (1/2) plane*:
@@ -21,27 +23,23 @@ shares every container and the first mutation on either side takes
 ownership of private dicts — focus and update, which copy constantly,
 become O(1) per snapshot.  Canonical abstraction folds whole predicate
 planes with mask algebra instead of per-entry loops, and
-``canonical_key`` is a tuple of remapped plane integers rather than
-frozensets of value tuples.
+``canonical_key`` is a tuple of remapped plane integers.
 
-The compiled-formula layer is mirrored here: :func:`compile_packed_formula`
-produces the same :class:`~repro.logic.compile.CompiledFormula` slot
-protocol, but atoms test plane bits and quantifiers over recognizable
-bodies (unary literals and conjunctions of them, binary rows) collapse
-into whole-universe mask tests instead of per-node loops.
-
-``PackedStructure`` subclasses ``ThreeValuedStructure`` — the recursive
-interpreter ``_eval``, which only goes through ``get``/``summary``/
-``nodes``, is inherited, and ``unary``/``binary`` are materializing
-properties so the certificate codec (:mod:`repro.cert.model`) serializes
-packed and dict structures to byte-identical JSON.
+Formulas are compiled here too: :func:`compile_packed_formula` produces
+the :class:`~repro.logic.compile.CompiledFormula` slot protocol with
+atoms that test plane bits and quantifiers over recognizable bodies
+(unary literals and conjunctions of them, binary rows) collapsed into
+whole-universe mask tests; :func:`compile_update_plane` evaluates a
+whole update as plane algebra.  The recursive interpreter
+:meth:`PackedStructure._eval` covers the formulas the compilers reject.
+``unary``/``binary`` are materializing dict views, which the certificate
+codec (:mod:`repro.cert.model`) serializes.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from repro.logic import compile as formula_compile
 from repro.logic.compile import (
     CompiledFormula,
     CompileError,
@@ -61,28 +59,12 @@ from repro.logic.formula import (
 )
 from repro.logic.kleene import FALSE3, HALF, Kleene, TRUE3
 from repro.logic.terms import Base
-from repro.tvla.three_valued import ThreeValuedStructure
 
 #: Kleene value by its 2-bit plane code: 0 = neither, 1 = true-plane,
 #: 2 = half-plane (matches ``Kleene._value_``)
 _KLEENE_BY_CODE = (FALSE3, TRUE3, HALF)
 
 _DEFAULT_SHIFT = 4  # binary stride 16: suite/fuzz universes stay under it
-
-#: memoized sorted predicate-name unions, keyed by the two dicts'
-#: insertion-order tuples (construction paths recur, so this hits)
-_SORTED_PREDS_CACHE: Dict[Tuple[Tuple[str, ...], Tuple[str, ...]], Tuple[str, ...]] = {}
-
-
-def _sorted_preds(a: Dict[str, int], b: Dict[str, int]) -> Tuple[str, ...]:
-    key = (tuple(a), tuple(b))
-    cached = _SORTED_PREDS_CACHE.get(key)
-    if cached is None:
-        if len(_SORTED_PREDS_CACHE) > 4096:
-            _SORTED_PREDS_CACHE.clear()
-        cached = tuple(sorted(a.keys() | b.keys()))
-        _SORTED_PREDS_CACHE[key] = cached
-    return cached
 
 
 class PackedKey:
@@ -92,8 +74,7 @@ class PackedKey:
     elements on every lookup; with warm transfer memos the engine does
     hundreds of thousands of memo/state-set probes per run, so the
     re-hash dominates replay. Computing the hash once at construction
-    makes each probe O(1) (frozenset keys on the dict path get this for
-    free — frozensets cache their hash).
+    makes each probe O(1).
     """
 
     __slots__ = ("k", "_hash")
@@ -119,16 +100,9 @@ class PackedKey:
         return (PackedKey, (self.k,))
 
 
-class PackedStructure(ThreeValuedStructure):
-    """A 3-valued structure over bit-plane integers (see module docs).
-
-    Drop-in for :class:`ThreeValuedStructure` everywhere the engine,
-    certificate codec and checker touch structures; the engines pick the
-    representation once per run (``TvlaEngine(packed=True)``) and every
-    derived structure stays packed.
-    """
-
-    packed = True
+class PackedStructure:
+    """A mutable 3-valued structure over bit-plane integers (see module
+    docs); absent tuples are 0."""
 
     def __init__(self) -> None:
         self.nodes: List[int] = []
@@ -144,6 +118,8 @@ class PackedStructure(ThreeValuedStructure):
         self._width = 1 << _DEFAULT_SHIFT
         self.universe_mask = 0
         self._next = 0
+        #: memoized canonical_key per abstraction-pred tuple; cleared by
+        #: every mutation through :meth:`set` / :meth:`new_node`
         self._ckey_cache: Dict[Tuple[str, ...], tuple] = {}
         #: abstraction-pred tuple this structure is known to be
         #: vector-ordered for (nodes 0..k-1 sorted by abstraction
@@ -153,6 +129,7 @@ class PackedStructure(ThreeValuedStructure):
         self._cow = False
 
     def dirty(self) -> None:
+        """Invalidate memoized canonical keys after a mutation."""
         if self._ckey_cache:
             self._ckey_cache = {}
         self._vec_ordered = None
@@ -226,7 +203,7 @@ class PackedStructure(ThreeValuedStructure):
         self._shift = new_shift
         self._width = 1 << new_shift
 
-    # -- dict-view compatibility ----------------------------------------------
+    # -- dict views ------------------------------------------------------------
 
     @property
     def unary(self) -> Dict[str, Dict[int, Kleene]]:
@@ -270,6 +247,15 @@ class PackedStructure(ThreeValuedStructure):
             if table:
                 view[pred] = table
         return view
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        parts = [f"U={[(n, 'sm' if self.summary[n] else '') for n in self.nodes]}"]
+        for pred, value in sorted(self.nullary.items()):
+            parts.append(f"{pred}={value}")
+        for view in (self.unary, self.binary):
+            for pred, table in sorted(view.items()):
+                parts.append(f"{pred}={table}")
+        return "TVS(" + "; ".join(parts) + ")"
 
     # -- values ----------------------------------------------------------------
 
@@ -355,9 +341,67 @@ class PackedStructure(ThreeValuedStructure):
     # -- evaluation ------------------------------------------------------------
 
     def eval(self, formula: Formula, env: Optional[Dict[str, int]] = None) -> Kleene:
-        if formula_compile.compilation_enabled():
-            return evaluate_packed(self, formula, env)
-        return self._eval(formula, env or {})
+        """Evaluate through the plane-compiled path, falling back to the
+        interpreter for formulas the compiler rejects."""
+        compiled = compile_packed_formula(formula)
+        if compiled is None:
+            return self._eval(formula, env or {})
+        return compiled(self, env)
+
+    def _eval(self, formula: Formula, env: Dict[str, int]) -> Kleene:
+        """The recursive Kleene interpreter (Section 5.5 semantics)."""
+        if isinstance(formula, Truth):
+            return TRUE3 if formula.value else FALSE3
+        if isinstance(formula, PredAtom):
+            args = tuple(env[a] for a in formula.args)
+            return self.get(formula.name, args)
+        if isinstance(formula, EqAtom):
+            lhs = self._term_node(formula.lhs, env)
+            rhs = self._term_node(formula.rhs, env)
+            if lhs != rhs:
+                return FALSE3
+            return HALF if self.summary.get(lhs, False) else TRUE3
+        if isinstance(formula, Not):
+            return self._eval(formula.body, env).logical_not()
+        if isinstance(formula, And):
+            result = TRUE3
+            for arg in formula.args:
+                result = result.logical_and(self._eval(arg, env))
+                if result is FALSE3:
+                    return result
+            return result
+        if isinstance(formula, Or):
+            result = FALSE3
+            for arg in formula.args:
+                result = result.logical_or(self._eval(arg, env))
+                if result is TRUE3:
+                    return result
+            return result
+        if isinstance(formula, Exists):
+            result = FALSE3
+            for node in self.nodes:
+                value = self._eval(formula.body, {**env, formula.var: node})
+                result = result.logical_or(value)
+                if result is TRUE3:
+                    return result
+            return result
+        if isinstance(formula, Forall):
+            result = TRUE3
+            for node in self.nodes:
+                value = self._eval(formula.body, {**env, formula.var: node})
+                result = result.logical_and(value)
+                if result is FALSE3:
+                    return result
+            return result
+        raise TypeError(f"unknown formula node {formula!r}")
+
+    def _term_node(self, term, env: Dict[str, int]) -> int:
+        if isinstance(term, Base):
+            return env[term.name]
+        raise TypeError(
+            "3-valued equality supports logical variables only; got "
+            f"{term!r}"
+        )
 
     # -- canonical abstraction ---------------------------------------------------
 
@@ -543,9 +587,8 @@ class PackedStructure(ThreeValuedStructure):
         Grouping is partition refinement over the unary planes
         (:meth:`_node_blocks`); folding works plane-at-a-time: a merged
         block's value is 1 iff the block mask is contained in the true
-        plane, 0 iff it misses both planes, 1/2 otherwise — the
-        implicit-0 accounting of the dict version falls out of the mask
-        containment test.
+        plane, 0 iff it misses both planes, 1/2 otherwise — an absent
+        (implicit-0) member makes the containment test fail.
 
         The result is always *vector-ordered* — node ids 0..k-1 follow
         the abstraction-vector sort — so :meth:`_canonical_key` takes
@@ -648,13 +691,23 @@ class PackedStructure(ThreeValuedStructure):
 
     # -- canonical naming / comparison -------------------------------------------
 
-    def _canonical_key(self, abstraction_preds: List[str]):
-        """Integer-plane canonical key (cheap to build and to hash).
+    def canonical_key(self, abstraction_preds: List[str]) -> PackedKey:
+        """A hashable key identifying the structure up to renaming of
+        individuals with distinct abstraction vectors.  Structures must be
+        canonicalized first (one individual per vector).
 
-        Packed keys are only ever compared with packed keys — the engine
-        picks one representation per run — so the shape differs from the
-        dict key on purpose: remapped plane ints instead of frozensets.
-        """
+        Memoized per abstraction-pred tuple; mutations through
+        :meth:`set` / :meth:`new_node` invalidate the cache."""
+        cache_key = tuple(abstraction_preds)
+        cached = self._ckey_cache.get(cache_key)
+        if cached is not None:
+            return cached
+        key = self._canonical_key(abstraction_preds)
+        self._ckey_cache[cache_key] = key
+        return key
+
+    def _canonical_key(self, abstraction_preds: List[str]) -> PackedKey:
+        """Integer-plane canonical key (cheap to build and to hash)."""
         if self._vec_ordered is not None and self._vec_ordered == tuple(
             abstraction_preds
         ):
@@ -685,8 +738,8 @@ class PackedStructure(ThreeValuedStructure):
             )
         # block order = vector order; within a block (equal vectors)
         # non-summary nodes sort before summary ones, ties keep
-        # ascending node ids — the same total order as the dict path's
-        # stable sort on (canonical_vector, summary)
+        # ascending node ids — a stable sort on (canonical_vector,
+        # summary), the order the certificate codec numbers nodes in
         order: List[int] = []
         summary = self.summary
         for mask in self._node_blocks(abstraction_preds):
@@ -829,8 +882,12 @@ class PackedStructure(ThreeValuedStructure):
         b: "PackedStructure",
         abstraction_preds: List[str],
     ) -> "PackedStructure":
-        """Information-order join, mirroring the dict algorithm: nodes
-        with equal abstraction vectors merge; unmatched nodes are kept."""
+        """Information-order join of two canonicalized structures: nodes
+        with equal abstraction vectors merge; unmatched nodes are kept.
+
+        The result over-approximates both inputs for the may-queries the
+        certifier asks (existentials and nullary reads); this is the
+        single-structure "independent attribute" mode of Section 5.5."""
         result = PackedStructure()
         mapping_a: Dict[int, int] = {}
         mapping_b: Dict[int, int] = {}
@@ -894,30 +951,6 @@ class PackedStructure(ThreeValuedStructure):
                         if value is not FALSE3:
                             result.set(pred, (n1, n2), value)
         return result
-
-    # -- conversion ----------------------------------------------------------------
-
-    @classmethod
-    def from_dense(cls, structure: ThreeValuedStructure) -> "PackedStructure":
-        """Pack a dict-backed structure (node ids renumbered densely)."""
-        packed = cls()
-        mapping: Dict[int, int] = {}
-        for node in structure.nodes:
-            mapping[node] = packed.new_node(structure.summary[node])
-        packed.nullary = {
-            pred: value
-            for pred, value in structure.nullary.items()
-            if value is not FALSE3
-        }
-        for pred, table in structure.unary.items():
-            for node, value in table.items():
-                if value is not FALSE3:
-                    packed.set(pred, (mapping[node],), value)
-        for pred, table2 in structure.binary.items():
-            for (n1, n2), value in table2.items():
-                if value is not FALSE3:
-                    packed.set(pred, (mapping[n1], mapping[n2]), value)
-        return packed
 
 
 # -- packed compiled formulas ------------------------------------------------------
@@ -1191,7 +1224,9 @@ def _compile_packed_node(
 
 _MISSING = object()
 
-#: packed-evaluator caches, mirroring repro.logic.compile's two levels
+#: two-level evaluator cache: a per-object identity map (no hashing of
+#: the formula tree on the hot path) backed by a structural map over
+#: interned formulas (equal formulas share one evaluator)
 _PACKED_COMPILED: Dict[Formula, Optional[CompiledFormula]] = {}
 _PACKED_BY_ID: Dict[int, Tuple[Formula, Optional[CompiledFormula]]] = {}
 
@@ -1217,17 +1252,6 @@ def compile_packed_formula(formula: Formula) -> Optional[CompiledFormula]:
         _PACKED_COMPILED[canonical] = compiled
     _PACKED_BY_ID[id(formula)] = (formula, compiled)
     return compiled
-
-
-def evaluate_packed(
-    structure, formula: Formula, env: Optional[Dict[str, int]] = None
-) -> Kleene:
-    """Evaluate on a packed structure via the plane-compiled path,
-    falling back to the inherited interpreter for rejected formulas."""
-    compiled = compile_packed_formula(formula)
-    if compiled is None:
-        return structure._eval(formula, env or {})
-    return compiled(structure, env)
 
 
 # -- plane-wide update evaluation ----------------------------------------------
@@ -1740,40 +1764,25 @@ def evaluate_update_plane(
     return t, u & ~t
 
 
-def packed_cache_stats() -> Dict[str, int]:
-    return {
-        "compiled": sum(
-            1 for v in _PACKED_COMPILED.values() if v is not None
-        ),
-        "uncompilable": sum(
-            1 for v in _PACKED_COMPILED.values() if v is None
-        ),
-        "by_id": len(_PACKED_BY_ID),
-    }
-
-
-def precompile_tvp(tvp, packed: bool = False) -> int:
+def precompile_tvp(tvp) -> int:
     """Compile every formula a TVP's actions will evaluate.
 
     Called at specialize time so first-certification ("cold") runs do
     not pay compile + interning inside the measured fixpoint; the
     compiled closures live in the process-wide caches, shared by every
     engine constructed over this TVP.  Returns the formula count."""
-    compile_one = (
-        compile_packed_formula if packed else formula_compile.compile_formula
-    )
     count = 0
     for edge in tvp.edges:
         action = edge.action
         for f in action.focus:
-            compile_one(f)
+            compile_packed_formula(f)
             count += 1
         for check in action.checks:
-            compile_one(check.cond)
+            compile_packed_formula(check.cond)
             count += 1
         for update in action.updates:
-            compile_one(update.rhs)
-            if packed and update.vars:
+            compile_packed_formula(update.rhs)
+            if update.vars:
                 compile_update_plane(update.rhs, tuple(update.vars))
             count += 1
     return count

@@ -73,7 +73,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 import multiprocessing
 
 from repro.certifier.report import CertificationReport
-from repro.runtime.cache import CacheStats
+from repro.runtime.cache import DEFAULT_CACHE_SIZE, CacheStats, LRUCache
 from repro.store.io import StoreIO
 from repro.runtime.guard import ResourceExhausted
 from repro.runtime.trace import (
@@ -88,6 +88,11 @@ from repro.runtime.trace import (
 DEFAULT_MAX_RETRIES = 2
 #: base of the exponential retry backoff, seconds
 DEFAULT_RETRY_BACKOFF = 0.25
+
+#: process-wide abstraction cache shared by every job in this process:
+#: the parent derives into it before forking the pool (``_prewarm``), so
+#: forked workers inherit it warm; spawn-based pools receive it pickled
+WARM_ABSTRACTIONS = LRUCache(DEFAULT_CACHE_SIZE, name="abstractions")
 
 
 class JobTimedOut(Exception):
@@ -596,10 +601,8 @@ def _init_worker(warm_blob: Optional[bytes]) -> None:
     """
     if not warm_blob:
         return
-    from repro import api
-
     for key, abstraction in pickle.loads(warm_blob):
-        api._ABSTRACTION_CACHE.put(key, abstraction)
+        WARM_ABSTRACTIONS.put(key, abstraction)
 
 
 def _effective_options(item: _WorkItem):
@@ -613,7 +616,6 @@ def _effective_options(item: _WorkItem):
 def _execute_certification(item: _WorkItem) -> CertificationReport:
     """Run one certification attempt (kept separate for fault injection
     in tests — crash/hang simulations monkeypatch this symbol)."""
-    from repro import api
     from repro.api import CertifySession
     from repro.easl.library import get_spec
 
@@ -622,7 +624,7 @@ def _execute_certification(item: _WorkItem) -> CertificationReport:
         spec,
         item.engine,
         _effective_options(item),
-        cache=api._ABSTRACTION_CACHE,
+        cache=WARM_ABSTRACTIONS,
     )
     return session.certify(item.job.source)
 
@@ -819,7 +821,6 @@ class BatchRunner:
 
     def _prewarm(self) -> List[TraceEvent]:
         """Derive every needed abstraction once, before workers exist."""
-        from repro import api
         from repro.api import CertifySession
         from repro.easl.library import get_spec
 
@@ -833,9 +834,7 @@ class BatchRunner:
         with use_tracer(tracer):
             for spec_name, engines in sorted(engines_by_spec.items()):
                 spec = get_spec(spec_name)
-                session = CertifySession(
-                    spec, cache=api._ABSTRACTION_CACHE
-                )
+                session = CertifySession(spec, cache=WARM_ABSTRACTIONS)
                 session.prewarm(sorted(engines))
         for event in tracer.events:
             event.job = "<prewarm>"
@@ -843,10 +842,8 @@ class BatchRunner:
 
     def _warm_blob(self) -> Optional[bytes]:
         """Pickled warm-cache entries for spawn-based pools."""
-        from repro import api
-
         try:
-            return pickle.dumps(api._ABSTRACTION_CACHE.items())
+            return pickle.dumps(WARM_ABSTRACTIONS.items())
         except Exception:
             return None  # workers will re-derive; correct, just slower
 
@@ -1076,8 +1073,6 @@ class BatchRunner:
     # -- execution -------------------------------------------------------------
 
     def run(self) -> BatchResult:
-        from repro import api
-
         started = time.perf_counter()
         self._results.clear()
         self._accum.clear()
@@ -1110,7 +1105,7 @@ class BatchRunner:
             seconds=time.perf_counter() - started,
             jobs=self.max_workers,
             prewarm_events=prewarm_events,
-            cache=api._ABSTRACTION_CACHE.stats(),
+            cache=WARM_ABSTRACTIONS.stats(),
             resumed=len(restored),
         )
 

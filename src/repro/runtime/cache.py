@@ -26,6 +26,11 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, Hashable, Mapping
 
 
+#: default bound for per-session caches and the batch runtime's
+#: process-wide abstraction cache
+DEFAULT_CACHE_SIZE = 64
+
+
 @dataclass(frozen=True)
 class CacheStats:
     """A point-in-time snapshot of one cache's counters."""

@@ -47,6 +47,7 @@ from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.runtime.batch import (
     BatchResult,
+    WARM_ABSTRACTIONS,
     BatchRunner,
     JobSpec,
     _WorkItem,
@@ -271,7 +272,6 @@ class WorkStealingCoordinator:
 
     def _prewarm(self):
         """Derive every abstraction the whole manifest needs, once."""
-        from repro import api
         from repro.api import CertifySession
         from repro.easl.library import get_spec
         from repro.runtime.trace import CollectingTracer, use_tracer
@@ -287,7 +287,7 @@ class WorkStealingCoordinator:
         with use_tracer(tracer):
             for spec_name, engines in sorted(engines_by_spec.items()):
                 session = CertifySession(
-                    get_spec(spec_name), cache=api._ABSTRACTION_CACHE
+                    get_spec(spec_name), cache=WARM_ABSTRACTIONS
                 )
                 session.prewarm(sorted(engines))
         for event in tracer.events:
@@ -295,8 +295,6 @@ class WorkStealingCoordinator:
         return tracer.events
 
     def run(self) -> CoordinatorResult:
-        from repro import api
-
         started = time.perf_counter()
         self.steals = 0
         queues, stats = self._build_queues()
@@ -325,7 +323,7 @@ class WorkStealingCoordinator:
             seconds=time.perf_counter() - started,
             jobs=self.max_workers,
             prewarm_events=prewarm_events,
-            cache=api._ABSTRACTION_CACHE.stats(),
+            cache=WARM_ABSTRACTIONS.stats(),
             resumed=sum(stat.resumed for stat in stats),
         )
         return CoordinatorResult(

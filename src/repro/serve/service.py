@@ -50,7 +50,7 @@ from repro.store import CertificateStore
 from repro.store.cas import lineage_key, request_key
 
 #: option keys a request may override (the certificate-relevant subset)
-REQUEST_OPTION_KEYS = ("entry", "prune_requires", "inline_depth", "worklist")
+REQUEST_OPTION_KEYS = ("entry", "prune_requires", "inline_depth")
 
 
 class BadRequest(ValueError):
@@ -436,18 +436,14 @@ class CertificationService:
             "entry": base.entry,
             "prune_requires": base.prune_requires,
             "inline_depth": base.inline_depth,
-            "worklist": base.worklist,
         }
         for key, value in overrides.items():
             fields[key] = value
         return CertifyOptions(
             emit_certificate=True,
-            compiled_eval=base.compiled_eval,
-            memoize_transfers=base.memoize_transfers,
             entry=fields["entry"],
             prune_requires=bool(fields["prune_requires"]),
             inline_depth=int(fields["inline_depth"]),
-            worklist=str(fields["worklist"]),
             # execution strategy, not a semantic option: shared by every
             # tenant session so library summaries are paid for once
             summary_db=base.summary_db,

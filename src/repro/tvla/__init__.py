@@ -1,6 +1,7 @@
 """A TVLA-style abstract interpreter for TVP programs (Section 5.5).
 
-States are 3-valued logical structures; canonical abstraction merges
+States are 3-valued logical structures
+(:class:`~repro.logic.packed.PackedStructure`); canonical abstraction merges
 individuals agreeing on all unary *abstraction predicates*, bounding the
 universe at ``3^|A|`` as the paper notes.  Two analysis modes mirror the
 paper's evaluation:
@@ -18,7 +19,7 @@ benchmark clients, thanks to the specialized component abstraction — is
 reproduced by experiment E7.
 """
 
+from repro.logic.packed import PackedStructure
 from repro.tvla.engine import TvlaEngine, TvlaResult
-from repro.tvla.three_valued import ThreeValuedStructure
 
-__all__ = ["ThreeValuedStructure", "TvlaEngine", "TvlaResult"]
+__all__ = ["PackedStructure", "TvlaEngine", "TvlaResult"]

@@ -21,14 +21,13 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.certifier.report import Alarm, CertificationReport
-from repro.logic import compile as formula_compile
 from repro.logic import packed as packed_kernel
 from repro.logic.formula import Not, PredAtom
 from repro.logic.kleene import FALSE3, HALF, TRUE3
+from repro.logic.packed import PackedStructure
 from repro.runtime import guard as _guard
 from repro.runtime.guard import ResourceExhausted, ResourceGovernor
 from repro.runtime.trace import phase as trace_phase
-from repro.tvla.three_valued import ThreeValuedStructure
 from repro.tvp.program import Action, TvpProgram
 from repro.util.worklist import make_worklist
 
@@ -80,8 +79,8 @@ class TvlaSeed:
     relational buckets.
     """
 
-    states: Optional[Dict[int, Dict[object, ThreeValuedStructure]]] = None
-    single: Optional[Dict[int, ThreeValuedStructure]] = None
+    states: Optional[Dict[int, Dict[object, PackedStructure]]] = None
+    single: Optional[Dict[int, PackedStructure]] = None
     frontier: Tuple[int, ...] = ()
 
 
@@ -96,8 +95,8 @@ class TvlaResult:
     #: the fixpoint annotation for certificate emission: relational mode
     #: records the per-node structure sets (keyed canonically),
     #: independent mode the single per-node structure
-    node_states: Optional[Dict[int, Dict[object, ThreeValuedStructure]]] = None
-    node_single: Optional[Dict[int, ThreeValuedStructure]] = None
+    node_states: Optional[Dict[int, Dict[object, PackedStructure]]] = None
+    node_single: Optional[Dict[int, PackedStructure]] = None
 
 
 class TvlaEngine:
@@ -110,9 +109,6 @@ class TvlaEngine:
         focus_budget: int = 64,
         structure_budget: int = 4000,
         iteration_budget: int = 200_000,
-        worklist: str = "rpo",
-        memoize_transfers: bool = True,
-        packed: bool = False,
     ) -> None:
         if mode not in ("relational", "independent"):
             raise ValueError(f"unknown mode {mode!r}")
@@ -122,9 +118,6 @@ class TvlaEngine:
         self.focus_budget = focus_budget
         self.structure_budget = structure_budget
         self.iteration_budget = iteration_budget
-        self.worklist_order = worklist
-        self.memoize_transfers = memoize_transfers
-        self.packed = packed
         self.abstraction_preds = tvp.abstraction_predicates()
         #: (action identity, input canonical key) ->
         #: ([(output key, output structure)], alarm contributions).
@@ -135,22 +128,19 @@ class TvlaEngine:
         self._transfers: Dict[
             Tuple[int, object],
             Tuple[
-                List[Tuple[object, ThreeValuedStructure]],
+                List[Tuple[object, PackedStructure]],
                 Dict[Tuple[int, str], _CheckContribution],
             ],
         ] = {}
         #: update-stmt identity -> (compiled plane or None, outer slot
         #: bindings); update objects live as long as the tvp, so id()
         #: keys stay valid for the engine's lifetime
-        self._packed_update_plane: Dict[int, tuple] = {}
+        self._update_planes: Dict[int, tuple] = {}
 
     # -- initial state -------------------------------------------------------------------
 
-    def initial_structure(self) -> ThreeValuedStructure:
-        if self.packed:
-            structure: ThreeValuedStructure = packed_kernel.PackedStructure()
-        else:
-            structure = ThreeValuedStructure()
+    def initial_structure(self) -> PackedStructure:
+        structure = PackedStructure()
         for pred in getattr(self.tvp, "initially_true_nullary", []):
             structure.set(pred, (), TRUE3)
         return structure
@@ -158,11 +148,11 @@ class TvlaEngine:
     # -- focus ----------------------------------------------------------------------------
 
     def _focus_one(
-        self, structure: ThreeValuedStructure, pred: str
-    ) -> List[ThreeValuedStructure]:
+        self, structure: PackedStructure, pred: str
+    ) -> List[PackedStructure]:
         """Make the unary ``pred`` definite on every individual."""
         pending = [structure]
-        finished: List[ThreeValuedStructure] = []
+        finished: List[PackedStructure] = []
         while pending:
             current = pending.pop()
             half_node = next(
@@ -195,15 +185,15 @@ class TvlaEngine:
         return finished
 
     def _focus(
-        self, structure: ThreeValuedStructure, action: Action
-    ) -> List[ThreeValuedStructure]:
+        self, structure: PackedStructure, action: Action
+    ) -> List[PackedStructure]:
         if self.mode != "relational":
             return [structure]
         structures = [structure]
         for formula in action.focus:
             if not isinstance(formula, PredAtom) or len(formula.args) != 1:
                 continue  # only unary focus is implemented
-            next_round: List[ThreeValuedStructure] = []
+            next_round: List[PackedStructure] = []
             for s in structures:
                 next_round.extend(self._focus_one(s, formula.name))
             structures = next_round
@@ -213,11 +203,11 @@ class TvlaEngine:
 
     def apply(
         self,
-        structure: ThreeValuedStructure,
+        structure: PackedStructure,
         action: Action,
         alarm_sink: Optional[Dict[Tuple[int, str], _CheckContribution]],
-    ) -> List[ThreeValuedStructure]:
-        results: List[ThreeValuedStructure] = []
+    ) -> List[PackedStructure]:
+        results: List[PackedStructure] = []
         for focused in self._focus(structure, action):
             survivor = self._check(focused, action, alarm_sink)
             if survivor is None:
@@ -227,10 +217,10 @@ class TvlaEngine:
 
     def _check(
         self,
-        structure: ThreeValuedStructure,
+        structure: PackedStructure,
         action: Action,
         alarm_sink: Optional[Dict[Tuple[int, str], _CheckContribution]],
-    ) -> Optional[ThreeValuedStructure]:
+    ) -> Optional[PackedStructure]:
         current = structure
         for check in action.checks:
             value = current.eval(check.cond)
@@ -264,8 +254,8 @@ class TvlaEngine:
         return current
 
     def _update(
-        self, structure: ThreeValuedStructure, action: Action
-    ) -> ThreeValuedStructure:
+        self, structure: PackedStructure, action: Action
+    ) -> PackedStructure:
         pre = structure
         post = structure.copy()
         env: Dict[str, int] = {}
@@ -280,42 +270,35 @@ class TvlaEngine:
             if not update.vars:
                 post.set(update.pred, (), pre.eval(update.rhs, env))
                 continue
-            if not formula_compile.compilation_enabled():
-                compiled = None
-            elif pre.packed:
-                entry = self._packed_update_plane.get(id(update))
-                if entry is None:
-                    plane = packed_kernel.compile_update_plane(
-                        update.rhs, tuple(update.vars)
+            entry = self._update_planes.get(id(update))
+            if entry is None:
+                plane = packed_kernel.compile_update_plane(
+                    update.rhs, tuple(update.vars)
+                )
+                if plane is None:
+                    entry = (None, ())
+                else:
+                    var_set = set(update.vars)
+                    entry = (
+                        plane,
+                        tuple(
+                            (slot, name)
+                            for slot, name in enumerate(plane.free_vars)
+                            if name not in var_set
+                        ),
                     )
-                    if plane is None:
-                        entry = (None, ())
-                    else:
-                        var_set = set(update.vars)
-                        entry = (
-                            plane,
-                            tuple(
-                                (slot, name)
-                                for slot, name in enumerate(plane.free_vars)
-                                if name not in var_set
-                            ),
-                        )
-                    self._packed_update_plane[id(update)] = entry
-                plane, outer = entry
-                if plane is not None:
-                    # bulk bitwise transfer: one plane evaluation
-                    # replaces len(nodes) ** arity per-tuple closures
-                    slots = [0] * plane.num_slots
-                    for slot, name in outer:
-                        slots[slot] = env[name]
-                    t, h = packed_kernel.evaluate_update_plane(
-                        pre, plane, slots
-                    )
-                    post.set_plane(update.pred, len(update.vars), t, h)
-                    continue
-                compiled = packed_kernel.compile_packed_formula(update.rhs)
-            else:
-                compiled = formula_compile.compile_formula(update.rhs)
+                self._update_planes[id(update)] = entry
+            plane, outer = entry
+            if plane is not None:
+                # bulk bitwise transfer: one plane evaluation replaces
+                # len(nodes) ** arity per-tuple closures
+                slots = [0] * plane.num_slots
+                for slot, name in outer:
+                    slots[slot] = env[name]
+                t, h = packed_kernel.evaluate_update_plane(pre, plane, slots)
+                post.set_plane(update.pred, len(update.vars), t, h)
+                continue
+            compiled = packed_kernel.compile_packed_formula(update.rhs)
             assignments = _tuples(pre.nodes, len(update.vars))
             values = []
             if compiled is None:
@@ -365,8 +348,8 @@ class TvlaEngine:
 
     def _replay_checks(
         self,
-        states: Dict[int, Dict[object, ThreeValuedStructure]],
-        single: Dict[int, ThreeValuedStructure],
+        states: Dict[int, Dict[object, PackedStructure]],
+        single: Dict[int, PackedStructure],
     ) -> Dict[Tuple[int, str], _CheckContribution]:
         """Evaluate every check edge over the final states (focus + check
         only — updates cannot touch the alarm sink), exactly what the
@@ -398,16 +381,14 @@ class TvlaEngine:
         max_structures = 1
         transfer_hits = 0
         transfer_misses = 0
-        worklist = make_worklist(
-            self.worklist_order, self.tvp.entry, self._successors
-        )
+        worklist = make_worklist(self.tvp.entry, self._successors)
         if seed is None:
             worklist.push(self.tvp.entry)
         else:
             for node in seed.frontier:
                 worklist.push(node)
-        states: Dict[int, Dict[object, ThreeValuedStructure]] = {}
-        single: Dict[int, ThreeValuedStructure] = {}
+        states: Dict[int, Dict[object, PackedStructure]] = {}
+        single: Dict[int, PackedStructure] = {}
         try:
             if self.mode == "relational":
                 if seed is None:
@@ -446,11 +427,7 @@ class TvlaEngine:
                     for edge in self.tvp.out_edges(node):
                         action_id = id(edge.action)
                         for skey, structure in here:
-                            cached = (
-                                transfers.get((action_id, skey))
-                                if self.memoize_transfers
-                                else None
-                            )
+                            cached = transfers.get((action_id, skey))
                             if cached is None:
                                 transfer_misses += 1
                                 local: Dict[
@@ -465,8 +442,7 @@ class TvlaEngine:
                                     ],
                                     local,
                                 )
-                                if self.memoize_transfers:
-                                    transfers[(action_id, skey)] = cached
+                                transfers[(action_id, skey)] = cached
                             else:
                                 transfer_hits += 1
                             outs, contribs = cached
@@ -539,7 +515,7 @@ class TvlaEngine:
                             if old is None:
                                 merged = out
                             else:
-                                merged = type(old).join(
+                                merged = PackedStructure.join(
                                     old, out, preds
                                 ).canonicalize(preds)
                             old_key = (

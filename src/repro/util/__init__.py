@@ -1,8 +1,7 @@
-"""Shared utilities: lexing, source positions, worklist strategies."""
+"""Shared utilities: lexing, source positions, the RPO worklist."""
 
 from repro.util.lexer import Lexer, LexError, Token
 from repro.util.worklist import (
-    FifoWorklist,
     PriorityWorklist,
     make_worklist,
     reverse_postorder,
@@ -12,7 +11,6 @@ __all__ = [
     "Lexer",
     "LexError",
     "Token",
-    "FifoWorklist",
     "PriorityWorklist",
     "make_worklist",
     "reverse_postorder",

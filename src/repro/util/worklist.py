@@ -1,27 +1,21 @@
-"""Worklist strategies shared by every fixpoint engine.
+"""The reverse-postorder worklist shared by every fixpoint engine.
 
-The seed engines all used FIFO deques, which on nested loops re-process
-loop heads long before their bodies have stabilized.  A *reverse
-postorder* (RPO) priority worklist pops nodes in topological-ish order —
-predecessors before successors on the acyclic core — so each pass over a
-loop propagates complete information and the engines converge in fewer
-iterations (the per-engine ``iterations`` stats make the win directly
-observable).
+A FIFO deque re-processes loop heads long before their bodies have
+stabilized.  A *reverse postorder* (RPO) priority worklist pops nodes
+in topological-ish order — predecessors before successors on the
+acyclic core — so each pass over a loop propagates complete information
+and the engines converge in fewer iterations (the per-engine
+``iterations`` stats make this directly observable).
 
-Both strategies expose one tiny API — ``push``, ``pop``, truthiness —
-and deduplicate internally: pushing an already-queued node is a no-op,
-which replaces the hand-rolled ``queued`` sets at every call site.
+The worklist exposes one tiny API — ``push``, ``pop``, truthiness — and
+deduplicates internally: pushing an already-queued node is a no-op,
+which replaces hand-rolled ``queued`` sets at every call site.
 """
 
 from __future__ import annotations
 
 import heapq
-from collections import deque
 from typing import Callable, Dict, Hashable, Iterable, List, Set
-
-#: the supported worklist orders
-ORDERS = ("rpo", "fifo")
-
 
 def reverse_postorder(
     entry: Hashable, successors: Callable[[Hashable], Iterable[Hashable]]
@@ -47,30 +41,6 @@ def reverse_postorder(
             stack.pop()
             postorder.append(node)
     return {node: index for index, node in enumerate(reversed(postorder))}
-
-
-class FifoWorklist:
-    """The seed strategy: first-in first-out with dedup."""
-
-    def __init__(self) -> None:
-        self._queue: deque = deque()
-        self._queued: Set[Hashable] = set()
-
-    def push(self, node: Hashable) -> None:
-        if node not in self._queued:
-            self._queued.add(node)
-            self._queue.append(node)
-
-    def pop(self) -> Hashable:
-        node = self._queue.popleft()
-        self._queued.discard(node)
-        return node
-
-    def __bool__(self) -> bool:
-        return bool(self._queue)
-
-    def __len__(self) -> int:
-        return len(self._queue)
 
 
 class PriorityWorklist:
@@ -110,13 +80,8 @@ class PriorityWorklist:
 
 
 def make_worklist(
-    order: str,
     entry: Hashable,
     successors: Callable[[Hashable], Iterable[Hashable]],
-):
-    """Build a worklist of the requested ``order`` ("rpo" or "fifo")."""
-    if order == "fifo":
-        return FifoWorklist()
-    if order == "rpo":
-        return PriorityWorklist(reverse_postorder(entry, successors))
-    raise ValueError(f"unknown worklist order {order!r}; pick from {ORDERS}")
+) -> PriorityWorklist:
+    """An RPO worklist over the graph reachable from ``entry``."""
+    return PriorityWorklist(reverse_postorder(entry, successors))

@@ -1,7 +1,7 @@
 """Tests for the facade API and the command-line interface."""
 
 
-from repro import certify_source, derive_abstraction
+from repro import CertifySession
 from repro.cli import main
 from repro.suite import by_name
 
@@ -10,22 +10,21 @@ FIG3 = by_name("fig3").source
 
 class TestApi:
     def test_certify_source_auto(self, cmp_specification):
-        report = certify_source(FIG3, cmp_specification)
+        report = CertifySession(cmp_specification).certify(FIG3)
         assert sorted(report.alarm_lines()) == [10, 13]
 
     def test_abstraction_cache_reuses(self, cmp_specification):
-        first = derive_abstraction(cmp_specification)
-        second = derive_abstraction(cmp_specification)
-        assert first is second
+        session = CertifySession(cmp_specification)
+        assert session.abstraction() is session.abstraction()
 
     def test_report_describe_readable(self, cmp_specification):
-        report = certify_source(FIG3, cmp_specification, "fds")
+        report = CertifySession(cmp_specification, "fds").certify(FIG3)
         text = report.describe()
         assert "Iterator.next" in text and "line 10" in text
 
     def test_certified_program_verdict(self, cmp_specification):
-        report = certify_source(
-            by_name("scanner").source, cmp_specification, "fds"
+        report = CertifySession(cmp_specification, "fds").certify(
+            by_name("scanner").source
         )
         assert report.certified
         assert "CERTIFIED" in report.describe()

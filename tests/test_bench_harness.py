@@ -83,56 +83,12 @@ class TestHeapClientGenerator:
         assert not program.is_shallow()  # holders pin iterators in fields
 
 
-class TestPackedComparison:
-    def test_smoke_rows_and_gates(self, cmp_specification):
-        """One tiny size end to end: every row family present, alarms
-        equal, certificates identical, kernel ops measured."""
-        from repro.bench.harness import run_packed_comparison
-
-        result = run_packed_comparison(
-            spec=cmp_specification,
-            sizes=[(2, 2, 1, 2)],
-            reps=1,
-            batch_workers=(1, 2),
-            batch_copies=1,
-        )
-        assert result.alarms_equal
-        assert result.certificates_identical
-        assert result.steady_speedup > 0
-        assert {op.op for op in result.kernel_ops} == {
-            "copy",
-            "canonicalize+key",
-            "copy+set+canonicalize+key",
-        }
-        assert result.checker["dict_accepts"]
-        assert result.checker["packed_accepts"]
-        assert result.batch["jobs"] == 1
-        assert result.batch["host_cpus"] >= 1
-        payload = result.to_json()
-        families = {row["family"] for row in payload["rows"]}
-        assert families == {
-            "end_to_end",
-            "kernel_op",
-            "checker",
-            "multiprocess",
-        }
-        assert all(row["alarms_equal"] for row in payload["rows"])
-        text = result.format()
-        assert "steady-state speedup" in text
-
-
 class TestPackedFuzzOracle:
     def test_campaign_is_sound_under_packed(self):
-        """The differential fuzz oracle with the packed kernel active:
-        no engine may miss a concretely-witnessed error (satellite #3's
-        REPRO_PACKED=1 fuzz gate, in-process)."""
-        from repro.api import CertifyOptions
+        """The differential fuzz oracle over the bit-plane TVLA kernel:
+        no engine may miss a concretely-witnessed error."""
         from repro.fuzz.diff import run_campaign
 
-        result = run_campaign(
-            seeds=range(0, 6),
-            engines=("tvla-relational",),
-            options=CertifyOptions(packed=True),
-        )
+        result = run_campaign(seeds=range(0, 6), engines=("tvla-relational",))
         assert result.ok, [f.seed for f in result.failures]
         assert result.seeds_run == list(range(0, 6))

@@ -162,6 +162,27 @@ class TestMutations:
         assert not verdict.ok
         assert verdict.kind == "source-hash-mismatch"
 
+    @pytest.mark.parametrize("order", ["fifo", None])
+    def test_non_rpo_worklist_rejected(self, checker, fds_certificate, order):
+        """The engines only schedule in reverse postorder: a certificate
+        recording any other worklist (or none) is malformed even when its
+        fingerprint is recomputed to match the tampered options."""
+        import copy
+
+        mutant = copy.deepcopy(fds_certificate.payload)
+        assert mutant["options"]["worklist"] == "rpo"
+        if order is None:
+            del mutant["options"]["worklist"]
+        else:
+            mutant["options"]["worklist"] = order
+        mutant["fingerprint"] = model.options_fingerprint(
+            mutant["engine"], mutant["options"]
+        )
+        verdict = checker.check(mutant)
+        assert not verdict.ok
+        assert verdict.kind == "malformed"
+        assert "worklist" in verdict.detail
+
     def test_strengthen_reports_first_violating_edge(
         self, checker, fds_certificate
     ):

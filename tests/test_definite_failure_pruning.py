@@ -11,7 +11,7 @@ exactly, and all of them must match the exhaustive interpreter.
 
 import pytest
 
-from repro.api import certify_source
+from repro.api import CertifySession
 from repro.lang import parse_program
 from repro.runtime import ExplorationBudget, explore
 
@@ -35,7 +35,7 @@ STAGED = ("fds", "relational", "interproc")
 
 @pytest.mark.parametrize("engine", STAGED)
 def test_no_alarm_after_definite_failure(cmp_specification, engine):
-    report = certify_source(CLIENT, cmp_specification, engine)
+    report = CertifySession(cmp_specification, engine).certify(CLIENT)
     assert sorted(report.alarm_lines()) == [8]
 
 
@@ -48,7 +48,7 @@ def test_matches_exhaustive_interpreter(cmp_specification):
     )
     assert failing_lines == [8]
     for engine in STAGED:
-        report = certify_source(CLIENT, cmp_specification, engine)
+        report = CertifySession(cmp_specification, engine).certify(CLIENT)
         assert sorted(report.alarm_lines()) == failing_lines
 
 

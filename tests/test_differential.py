@@ -14,9 +14,10 @@ concrete component semantics against each other on programs nobody
 hand-picked.
 """
 
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.api import certify_program
+from repro.api import CertifySession
 from repro.bench.synthetic import make_client
 from repro.lang import parse_program
 from repro.runtime import ExplorationBudget, explore
@@ -25,6 +26,11 @@ _BUDGET = ExplorationBudget(max_paths=4000, max_steps_per_path=200)
 
 STAGED = ("fds", "relational", "interproc")
 GENERIC = ("allocsite", "shapegraph")
+
+
+@pytest.fixture(scope="module")
+def session(cmp_specification):
+    return CertifySession(cmp_specification)
 
 
 def _generate(seed, num_sets, num_iters, num_ops, loop_every, spec):
@@ -51,14 +57,14 @@ def _generate(seed, num_sets, num_iters, num_ops, loop_every, spec):
     loop_every=st.sampled_from([0, 8]),
 )
 def test_staged_engines_sound_and_ordered(
-    seed, num_sets, num_iters, num_ops, loop_every, cmp_specification
+    seed, num_sets, num_iters, num_ops, loop_every, cmp_specification, session
 ):
     program = _generate(
         seed, num_sets, num_iters, num_ops, loop_every, cmp_specification
     )
     truth = explore(program, _BUDGET)
     reports = {
-        engine: certify_program(program, engine) for engine in STAGED
+        engine: session.certify_program(program, engine) for engine in STAGED
     }
     baseline = reports["fds"].alarm_sites()
     for engine, report in reports.items():
@@ -96,12 +102,12 @@ def test_staged_engines_sound_and_ordered(
     num_ops=st.integers(5, 20),
 )
 def test_generic_engines_sound_on_random_clients(
-    seed, num_ops, cmp_specification
+    seed, num_ops, cmp_specification, session
 ):
     program = _generate(seed, 2, 3, num_ops, 0, cmp_specification)
     truth = explore(program, _BUDGET)
     for engine in GENERIC:
-        report = certify_program(program, engine)
+        report = session.certify_program(program, engine)
         summary = truth.compare(report.alarm_sites())
         assert summary.sound, (
             f"{engine} missed {summary.missed_sites} (seed={seed})"
@@ -115,12 +121,12 @@ def test_generic_engines_sound_on_random_clients(
 )
 @given(seed=st.integers(0, 10_000), num_ops=st.integers(5, 18))
 def test_tvla_sound_on_random_shallow_clients(
-    seed, num_ops, cmp_specification
+    seed, num_ops, cmp_specification, session
 ):
     """The first-order pipeline must subsume the nullary one on shallow
     clients (field-slot machinery degenerates to nullary instances)."""
     program = _generate(seed, 2, 3, num_ops, 0, cmp_specification)
     truth = explore(program, _BUDGET)
-    report = certify_program(program, "tvla-independent")
+    report = session.certify_program(program, "tvla-independent")
     summary = truth.compare(report.alarm_sites())
     assert summary.sound, f"missed {summary.missed_sites} (seed={seed})"

@@ -7,7 +7,7 @@ suite — the paper's headline result.
 
 import pytest
 
-from repro.api import certify_program, certify_source
+from repro.api import CertifySession
 from repro.lang import parse_program
 from repro.runtime import ExplorationBudget, explore
 from repro.suite import all_programs, shallow_programs, heap_programs
@@ -17,6 +17,11 @@ STAGED_HEAP = ("tvla-relational", "tvla-independent")
 GENERIC = ("allocsite", "allocsite-recency", "shapegraph")
 
 _BUDGET = ExplorationBudget(max_paths=8000, max_steps_per_path=300)
+
+
+@pytest.fixture(scope="module")
+def session(cmp_specification):
+    return CertifySession(cmp_specification)
 
 
 def _truth(bench, spec):
@@ -29,10 +34,10 @@ def _truth(bench, spec):
     "bench", shallow_programs(), ids=lambda b: b.name
 )
 def test_staged_engines_exact_on_shallow_suite(
-    engine, bench, cmp_specification
+    engine, bench, cmp_specification, session
 ):
     program, truth = _truth(bench, cmp_specification)
-    report = certify_program(program, engine)
+    report = session.certify_program(program, engine)
     summary = truth.compare(report.alarm_sites())
     assert summary.sound, f"{bench.name}/{engine}: missed errors"
     assert summary.false_alarms == 0, (
@@ -44,10 +49,10 @@ def test_staged_engines_exact_on_shallow_suite(
 @pytest.mark.parametrize("engine", STAGED_HEAP)
 @pytest.mark.parametrize("bench", heap_programs(), ids=lambda b: b.name)
 def test_staged_engines_exact_on_heap_suite(
-    engine, bench, cmp_specification
+    engine, bench, cmp_specification, session
 ):
     program, truth = _truth(bench, cmp_specification)
-    report = certify_program(program, engine)
+    report = session.certify_program(program, engine)
     summary = truth.compare(report.alarm_sites())
     assert summary.sound and summary.false_alarms == 0
 
@@ -55,20 +60,20 @@ def test_staged_engines_exact_on_heap_suite(
 @pytest.mark.parametrize("engine", GENERIC)
 @pytest.mark.parametrize("bench", all_programs(), ids=lambda b: b.name)
 def test_generic_engines_sound_on_everything(
-    engine, bench, cmp_specification
+    engine, bench, cmp_specification, session
 ):
     program, truth = _truth(bench, cmp_specification)
-    report = certify_program(program, engine)
+    report = session.certify_program(program, engine)
     summary = truth.compare(report.alarm_sites())
     assert summary.sound, f"{bench.name}/{engine}: missed errors"
 
 
-def test_auto_engine_picks_by_shape(cmp_specification):
+def test_auto_engine_picks_by_shape(cmp_specification, session):
     shallow = parse_program(
         "class Main { static void main() { Set s = new Set(); } }",
         cmp_specification,
     )
-    report = certify_program(shallow, "auto")
+    report = session.certify_program(shallow, "auto")
     assert report.engine == "interproc"
     heap = parse_program(
         """
@@ -77,14 +82,12 @@ def test_auto_engine_picks_by_shape(cmp_specification):
         """,
         cmp_specification,
     )
-    report = certify_program(heap, "auto")
+    report = session.certify_program(heap, "auto")
     assert report.engine.startswith("tvla")
 
 
 def test_unknown_engine_rejected(cmp_specification):
     with pytest.raises(ValueError):
-        certify_source(
-            "class Main { static void main() { } }",
-            cmp_specification,
-            engine="magic",
+        CertifySession(cmp_specification).certify(
+            "class Main { static void main() { } }", engine="magic"
         )

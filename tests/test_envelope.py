@@ -1,17 +1,13 @@
-"""The unified result envelope, the spec registry, and the legacy-API
-deprecations — the PR-6 API-surface contract."""
+"""The unified result envelope, the spec registry, and the session-only
+public API — the API-surface contract."""
 
 import json
 
 import pytest
 
 from repro import envelope as env
-from repro.api import (
-    CertifyOptions,
-    CertifySession,
-    certify_source,
-    derive_abstraction,
-)
+from repro import api
+from repro.api import CertifyOptions, CertifySession
 from repro.easl.library import (
     REGISTRY,
     UnknownSpecError,
@@ -19,7 +15,6 @@ from repro.easl.library import (
     cmp_spec,
     get_spec,
 )
-from repro.lang.types import parse_program
 from repro.runtime.trace import CollectingTracer, use_tracer
 from repro.suite import by_name
 
@@ -114,26 +109,12 @@ class TestEnvelopeBuilders:
 
 
 class TestLegacyDeprecations:
-    def test_certify_source_warns_but_works(self, cmp_specification):
-        with pytest.warns(DeprecationWarning, match="CertifySession"):
-            report = certify_source(
-                by_name("fig3").source, cmp_specification, "fds"
-            )
-        assert sorted(report.alarm_lines()) == [10, 13]
+    def test_legacy_wrappers_removed(self):
+        import repro
 
-    def test_certify_program_warns(self, cmp_specification):
-        from repro.api import certify_program
-
-        program = parse_program(by_name("fig3").source, cmp_specification)
-        with pytest.warns(DeprecationWarning, match="certify_program"):
-            certify_program(program, "fds")
-
-    def test_derive_abstraction_warns_and_caches(self, cmp_specification):
-        with pytest.warns(DeprecationWarning, match="abstraction"):
-            first = derive_abstraction(cmp_specification)
-        with pytest.warns(DeprecationWarning):
-            second = derive_abstraction(cmp_specification)
-        assert first is second
+        for name in ("certify_source", "certify_program", "derive_abstraction"):
+            assert not hasattr(api, name)
+            assert not hasattr(repro, name)
 
     def test_session_path_does_not_warn(self, cmp_specification, recwarn):
         CertifySession(cmp_specification).certify(

@@ -6,7 +6,7 @@ runs unchanged for GRP, IMP and AOP: only the Easl specification differs.
 
 import pytest
 
-from repro.api import certify_source
+from repro.api import CertifySession
 from repro.lang import parse_program
 from repro.runtime import explore
 
@@ -38,7 +38,7 @@ class Main {
 """
 
     def test_preempted_traversal_flagged(self, grp_specification):
-        report = certify_source(self.BAD, grp_specification, "fds")
+        report = CertifySession(grp_specification, "fds").certify(self.BAD)
         assert sorted(report.alarm_lines()) == [8]
 
     def test_ground_truth_agrees(self, grp_specification):
@@ -47,7 +47,7 @@ class Main {
         assert sorted(truth.failing_lines()) == [8]
 
     def test_independent_graphs_certified(self, grp_specification):
-        report = certify_source(self.GOOD, grp_specification, "fds")
+        report = CertifySession(grp_specification, "fds").certify(self.GOOD)
         assert report.certified
 
     def test_interproc_engine_works(self, grp_specification):
@@ -63,7 +63,7 @@ class Main {
   static void preempt() { Traversal u = g.traverse(); }
 }
 """
-        report = certify_source(source, grp_specification, "interproc")
+        report = CertifySession(grp_specification, "interproc").certify(source)
         assert sorted(report.alarm_lines()) == [8]
 
 
@@ -91,11 +91,11 @@ class Main {
 """
 
     def test_cross_factory_combine_flagged(self, imp_specification):
-        report = certify_source(self.MIXED, imp_specification, "fds")
+        report = CertifySession(imp_specification, "fds").certify(self.MIXED)
         assert sorted(report.alarm_lines()) == [8]
 
     def test_matched_factory_certified(self, imp_specification):
-        report = certify_source(self.MATCHED, imp_specification, "fds")
+        report = CertifySession(imp_specification, "fds").certify(self.MATCHED)
         assert report.certified
 
     def test_wrong_receiver_flagged(self, imp_specification):
@@ -110,13 +110,13 @@ class Main {
   }
 }
 """
-        report = certify_source(source, imp_specification, "fds")
+        report = CertifySession(imp_specification, "fds").certify(source)
         assert not report.certified
 
     def test_truth_matches_certifier(self, imp_specification):
         program = parse_program(self.MIXED, imp_specification)
         truth = explore(program)
-        report = certify_source(self.MIXED, imp_specification, "fds")
+        report = CertifySession(imp_specification, "fds").certify(self.MIXED)
         assert truth.compare(report.alarm_sites()).exact
 
 
@@ -144,21 +144,21 @@ class Main {
 """
 
     def test_alien_vertex_flagged(self, aop_specification):
-        report = certify_source(self.ALIEN, aop_specification, "fds")
+        report = CertifySession(aop_specification, "fds").certify(self.ALIEN)
         assert sorted(report.alarm_lines()) == [8]
 
     def test_owned_vertices_certified(self, aop_specification):
-        report = certify_source(self.OWNED, aop_specification, "fds")
+        report = CertifySession(aop_specification, "fds").certify(self.OWNED)
         assert report.certified
 
     def test_truth_matches_certifier(self, aop_specification):
         program = parse_program(self.ALIEN, aop_specification)
         truth = explore(program)
-        report = certify_source(self.ALIEN, aop_specification, "fds")
+        report = CertifySession(aop_specification, "fds").certify(self.ALIEN)
         assert truth.compare(report.alarm_sites()).exact
 
     @pytest.mark.parametrize("engine", ["relational", "interproc"])
     def test_other_engines_agree(self, engine, aop_specification):
-        fds = certify_source(self.ALIEN, aop_specification, "fds")
-        other = certify_source(self.ALIEN, aop_specification, engine)
+        fds = CertifySession(aop_specification, "fds").certify(self.ALIEN)
+        other = CertifySession(aop_specification, engine).certify(self.ALIEN)
         assert fds.alarm_sites() == other.alarm_sites()

@@ -1,22 +1,16 @@
-"""The packed bitset state kernel (PR 7).
+"""The bit-plane state kernel against its dict-of-tuples oracle.
 
 Differential property tests: a :class:`PackedStructure` built from any
-dense :class:`ThreeValuedStructure` must be observationally identical —
-same ``get`` tables, same formula valuations, same join, and the same
-canonical-abstraction partition — because the engine switches between
-the two representations on a flag (``CertifyOptions(packed=...)`` /
-``REPRO_PACKED``) and every downstream artifact (alarms, certificates)
-must be byte-identical either way.
+oracle :class:`~tests.structure_oracle.ThreeValuedStructure` must be
+observationally identical — same ``get`` tables, same formula
+valuations, same join, and the same canonical-abstraction partition.
+Suite-wide certificate bytes are pinned separately by
+``tests/test_golden_certs.py``.
 """
 
 import pickle
 import random
 
-import pytest
-
-from repro.api import CertifyOptions, CertifySession, packed_enabled
-from repro.easl.library import cmp_spec
-from repro.lang.types import parse_program
 from repro.logic.formula import (
     And,
     Exists,
@@ -32,7 +26,7 @@ from repro.logic.packed import (
     compile_update_plane,
     evaluate_update_plane,
 )
-from repro.tvla.three_valued import ThreeValuedStructure
+from tests.structure_oracle import ThreeValuedStructure, to_packed
 
 VALUES = (FALSE3, HALF, TRUE3)
 UNARY_PREDS = ("a", "b", "c")
@@ -107,17 +101,17 @@ def assert_same_tables(dense, packed):
 
 
 class TestPackedDifferential:
-    def test_from_dense_preserves_every_valuation(self):
+    def test_to_packed_preserves_every_valuation(self):
         rng = random.Random(7)
         for _ in range(40):
             dense = random_dense(rng)
-            assert_same_tables(dense, PackedStructure.from_dense(dense))
+            assert_same_tables(dense, to_packed(dense))
 
     def test_set_matches_dense_set(self):
         rng = random.Random(11)
         for _ in range(25):
             dense = random_dense(rng)
-            packed = PackedStructure.from_dense(dense)
+            packed = to_packed(dense)
             for _ in range(30):
                 value = rng.choice(VALUES)
                 arity = rng.randrange(3)
@@ -142,7 +136,7 @@ class TestPackedDifferential:
             dense = random_dense(rng, max_nodes=4)
             if not dense.nodes:
                 continue  # free variables need a nonempty universe
-            packed = PackedStructure.from_dense(dense)
+            packed = to_packed(dense)
             for _ in range(15):
                 formula = random_formula(rng)
                 env = {
@@ -166,8 +160,8 @@ class TestPackedDifferential:
                         (rng.choice(dense_b.nodes),),
                         rng.choice(VALUES),
                     )
-            packed_a = PackedStructure.from_dense(dense_a)
-            packed_b = PackedStructure.from_dense(dense_b)
+            packed_a = to_packed(dense_a)
+            packed_b = to_packed(dense_b)
             dense_join = ThreeValuedStructure.join(dense_a, dense_b, preds)
             packed_join = PackedStructure.join(packed_a, packed_b, preds)
             for pred in NULLARY_PREDS:
@@ -189,7 +183,7 @@ class TestPackedDifferential:
             d.canonicalize(preds).canonical_key(preds) for d in denses
         ]
         packed_keys = [
-            PackedStructure.from_dense(d)
+            to_packed(d)
             .canonicalize(preds)
             .canonical_key(preds)
             for d in denses
@@ -206,13 +200,13 @@ class TestPackedDifferential:
         for _ in range(20):
             dense = random_dense(rng, max_nodes=5)
             canonical_dense = dense.canonicalize(preds)
-            canonical_packed = PackedStructure.from_dense(
+            canonical_packed = to_packed(
                 dense
             ).canonicalize(preds)
             assert len(canonical_packed.nodes) == len(canonical_dense.nodes)
             assert canonical_packed.canonical_key(
                 preds
-            ) == PackedStructure.from_dense(
+            ) == to_packed(
                 canonical_dense
             ).canonical_key(preds)
 
@@ -225,7 +219,7 @@ class TestCanonicalKeyFastPath:
         rng = random.Random(29)
         preds = list(UNARY_PREDS)
         for _ in range(25):
-            packed = PackedStructure.from_dense(
+            packed = to_packed(
                 random_dense(rng, max_nodes=5)
             ).canonicalize(preds)
             fast = packed.canonical_key(preds)
@@ -237,7 +231,7 @@ class TestCanonicalKeyFastPath:
     def test_copy_propagates_ordering(self):
         rng = random.Random(31)
         preds = list(UNARY_PREDS)
-        packed = PackedStructure.from_dense(
+        packed = to_packed(
             random_dense(rng, max_nodes=5)
         ).canonicalize(preds)
         clone = packed.copy()
@@ -279,7 +273,7 @@ class TestUpdatePlane:
             if any(name not in variables for name in plane.free_vars):
                 continue  # outer bindings are covered by engine tests
             dense = random_dense(rng, max_nodes=4)
-            packed = PackedStructure.from_dense(dense)
+            packed = to_packed(dense)
             slots = [0] * plane.num_slots
             t_plane, h_plane = evaluate_update_plane(packed, plane, slots)
             shift = packed._shift
@@ -305,109 +299,3 @@ class TestUpdatePlane:
                         assert not (t_plane | h_plane) & bit
                     checked += 1
         assert checked > 100  # the compiler accepted enough formulas
-
-
-LOOP_CLIENT = """
-class Holder { Iterator it; Holder() { } }
-class Main {
-  static void main() {
-    Set s = new Set();
-    Set t = new Set();
-    Holder last = new Holder();
-    while (?) {
-      Holder h = new Holder();
-      h.it = s.iterator();
-      last = h;
-    }
-    Iterator j = last.it;
-    if (?) { j.next(); }
-    s.add("x");
-    if (?) { j.next(); }
-  }
-}
-"""
-
-
-def _signature(report):
-    return sorted(
-        (a.site_id, a.op_key, a.instance, a.definite)
-        for a in report.alarms
-    )
-
-
-class TestEngineEquivalence:
-    @pytest.mark.parametrize("engine", ["tvla-relational", "tvla-independent"])
-    def test_alarms_identical_across_representations(self, engine):
-        spec = cmp_spec()
-        reports = {}
-        for packed in (False, True):
-            session = CertifySession(
-                spec,
-                engine=engine,
-                options=CertifyOptions(packed=packed),
-            )
-            program = parse_program(LOOP_CLIENT, spec)
-            reports[packed] = session.certify_program(program)
-        assert _signature(reports[False]) == _signature(reports[True])
-        assert reports[False].alarms  # the client genuinely alarms
-
-    def test_certificates_byte_identical(self):
-        spec = cmp_spec()
-        texts = {}
-        for packed in (False, True):
-            session = CertifySession(
-                spec,
-                engine="tvla-relational",
-                options=CertifyOptions(
-                    packed=packed, emit_certificate=True
-                ),
-            )
-            texts[packed] = session.certify(
-                LOOP_CLIENT
-            ).certificate.text()
-        assert texts[False] == texts[True]
-
-    def test_checker_cross_accepts_packed_certificate(self):
-        from repro.cert.check import CertificateChecker
-
-        spec = cmp_spec()
-        session = CertifySession(
-            spec,
-            engine="tvla-relational",
-            options=CertifyOptions(packed=True, emit_certificate=True),
-        )
-        certificate = session.certify(LOOP_CLIENT).certificate
-        for checker_packed in (False, True):
-            result = CertificateChecker(packed=checker_packed).check(
-                certificate, spec=spec
-            )
-            assert result.ok, result.detail
-
-    def test_engine_structures_are_packed_when_enabled(self):
-        spec = cmp_spec()
-        session = CertifySession(
-            spec,
-            engine="tvla-relational",
-            options=CertifyOptions(packed=True),
-        )
-        program = parse_program(LOOP_CLIENT, spec)
-        engine = session.artifacts(program, "tvla-relational")[
-            "engine_obj"
-        ]
-        assert engine.packed
-        assert engine.initial_structure().packed
-
-
-class TestReproPackedEnv:
-    def test_env_flag_enables_packed(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PACKED", "1")
-        assert packed_enabled(None)
-        assert packed_enabled(CertifyOptions())
-        monkeypatch.setenv("REPRO_PACKED", "0")
-        assert not packed_enabled(CertifyOptions())
-
-    def test_explicit_option_wins_over_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PACKED", "1")
-        assert not packed_enabled(CertifyOptions(packed=False))
-        monkeypatch.setenv("REPRO_PACKED", "0")
-        assert packed_enabled(CertifyOptions(packed=True))

@@ -1,14 +1,10 @@
 """Tests for the performance layer: compiled formula evaluation,
-structure/transfer memoization, and priority worklists.
+structure/transfer memoization, and the reverse-postorder worklist.
 
-The two load-bearing properties:
-
-* compiled evaluation is *observationally identical* to the recursive
-  interpreter on random formulas over random 3-valued structures;
-* reverse-postorder scheduling changes only the iteration count — the
-  FDS and relational solvers produce byte-identical ``may_one`` /
-  ``may_zero`` / alarm sets, and the TVLA engine identical alarm sets,
-  on every suite program.
+The load-bearing property: compiled evaluation on the bit-plane kernel
+is *observationally identical* to the recursive Kleene interpreter of
+the dict-of-tuples oracle (``tests/structure_oracle.py``) on random
+formulas over random 3-valued structures.
 """
 
 import json
@@ -16,14 +12,13 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.api import CertifyOptions, CertifySession
-from repro.bench.harness import run_comparison
-from repro.certifier.fds import FdsResult, FdsSolver
+from repro.api import CertifySession
+from repro.certifier.fds import FdsResult
 from repro.certifier.relational import RelationalSolver, StateExplosion
 from repro.certifier.transform import ClientTransformer
 from repro.lang import parse_program
 from repro.lang.inline import inline_program
-from repro.logic import compile as formula_compile
+from repro.logic.compile import intern
 from repro.logic.formula import (
     And,
     EqAtom,
@@ -35,14 +30,11 @@ from repro.logic.formula import (
     Truth,
 )
 from repro.logic.kleene import FALSE3, HALF, TRUE3
+from repro.logic.packed import PackedStructure, compile_packed_formula
 from repro.logic.terms import Base
-from repro.suite import all_programs, shallow_programs
-from repro.tvla.three_valued import ThreeValuedStructure
-from repro.util.worklist import (
-    FifoWorklist,
-    PriorityWorklist,
-    reverse_postorder,
-)
+from repro.suite import all_programs
+from repro.util.worklist import PriorityWorklist, reverse_postorder
+from tests.structure_oracle import ThreeValuedStructure, to_packed
 
 # -- compiled ≡ interpreted on random formulas × structures -------------------
 
@@ -128,39 +120,26 @@ class TestCompiledEquivalence:
             "y": nodes[yi % len(nodes)],
         }
         interpreted = structure._eval(formula, dict(env))
-        compiled = formula_compile.evaluate(structure, formula, env)
-        assert compiled is interpreted
-
-    def test_eval_respects_interpreted_toggle(self):
-        structure = ThreeValuedStructure()
-        node = structure.new_node()
-        structure.unary.setdefault("u0", {})[node] = TRUE3
-        formula = Exists("x", PredAtom("u0", ("x",)))
-        assert formula_compile.compilation_enabled()
-        with formula_compile.interpreted():
-            assert not formula_compile.compilation_enabled()
-            assert structure.eval(formula) is TRUE3
-        assert formula_compile.compilation_enabled()
-        assert structure.eval(formula) is TRUE3
+        packed = to_packed(structure)  # nodes are 0..n-1: ids carry over
+        assert packed.eval(formula, env) is interpreted
+        assert packed._eval(formula, dict(env)) is interpreted
 
     def test_intern_shares_compiled_evaluator(self):
         f1 = Exists("x", PredAtom("u0", ("x",)))
         f2 = Exists("x", PredAtom("u0", ("x",)))
         assert f1 is not f2
-        assert formula_compile.intern(f1) is formula_compile.intern(f2)
-        c1 = formula_compile.compile_formula(f1)
-        c2 = formula_compile.compile_formula(f2)
-        assert c1 is c2
+        assert intern(f1) is intern(f2)
+        assert compile_packed_formula(f1) is compile_packed_formula(f2)
 
     def test_uncompilable_falls_back_to_interpreter(self):
         from repro.logic.terms import Field
 
-        structure = ThreeValuedStructure()
+        structure = PackedStructure()
         structure.new_node()
         # field-typed equality is interpreter-only; both paths raise the
         # same interpreter TypeError
         bad = EqAtom(Field(Base("x"), "f"), Base("y"))
-        assert formula_compile.compile_formula(bad) is None
+        assert compile_packed_formula(bad) is None
         with pytest.raises(TypeError):
             structure.eval(bad, {"x": 0, "y": 0})
 
@@ -170,7 +149,7 @@ class TestCompiledEquivalence:
 
 class TestCanonicalKeyCache:
     def _structure(self):
-        s = ThreeValuedStructure()
+        s = PackedStructure()
         node = s.new_node()
         s.set("a", (node,), TRUE3)
         return s, node
@@ -194,9 +173,11 @@ class TestCanonicalKeyCache:
         s, node = self._structure()
         s.canonical_key(["a"])
         clone = s.copy()
-        # direct table mutation on the fresh copy must be safe
-        clone.unary["a"][node] = HALF
+        # mutating the copy-on-write clone must leave the original's
+        # memoized key (and tables) untouched
+        clone.set("a", (node,), HALF)
         assert clone.canonical_key(["a"]) != s.canonical_key(["a"])
+        assert s.get("a", (node,)) is TRUE3
 
 
 # -- worklist primitives ------------------------------------------------------
@@ -218,76 +199,12 @@ class TestWorklists:
         assert popped == sorted(popped, key=lambda n: rpo[n])
 
     def test_dedup(self):
-        for wl in (FifoWorklist(), PriorityWorklist({1: 0})):
-            wl.push(1)
-            wl.push(1)
-            assert len(wl) == 1
-            assert wl.pop() == 1
-            assert not wl
-
-
-# -- solver equivalence across scheduling orders ------------------------------
-
-
-@pytest.fixture(scope="module")
-def shallow_boolprogs(cmp_specification, cmp_abstraction):
-    programs = {}
-    for bench in shallow_programs():
-        program = parse_program(bench.source, cmp_specification)
-        inlined = inline_program(program)
-        programs[bench.name] = ClientTransformer(
-            program, cmp_abstraction
-        ).transform_inlined(inlined)
-    return programs
-
-
-class TestSchedulingEquivalence:
-    def test_fds_rpo_identical_and_no_slower(self, shallow_boolprogs):
-        for name, boolprog in shallow_boolprogs.items():
-            rpo = FdsSolver(worklist="rpo").solve(boolprog)
-            fifo = FdsSolver(worklist="fifo").solve(boolprog)
-            assert rpo.may_one == fifo.may_one, name
-            assert rpo.may_zero == fifo.may_zero, name
-            assert rpo.alarms == fifo.alarms, name
-            assert rpo.iterations <= fifo.iterations, name
-
-    def test_relational_rpo_identical_and_no_slower(
-        self, shallow_boolprogs
-    ):
-        for name, boolprog in shallow_boolprogs.items():
-            rpo = RelationalSolver(worklist="rpo").solve(boolprog)
-            fifo = RelationalSolver(worklist="fifo").solve(boolprog)
-            assert rpo.states == fifo.states, name
-            assert rpo.alarms == fifo.alarms, name
-            assert rpo.iterations <= fifo.iterations, name
-
-    def test_tvla_rpo_identical_alarms(self, cmp_specification):
-        rpo_session = CertifySession(
-            cmp_specification,
-            engine="tvla-relational",
-            options=CertifyOptions(worklist="rpo"),
-        )
-        fifo_session = CertifySession(
-            cmp_specification,
-            engine="tvla-relational",
-            options=CertifyOptions(
-                worklist="fifo", memoize_transfers=False
-            ),
-        )
-        def signature(r):
-            return sorted(
-                (a.site_id, a.op_key, a.instance, a.definite)
-                for a in r.alarms
-            )
-
-        for bench in all_programs():
-            program = parse_program(bench.source, cmp_specification)
-            rpo = rpo_session.certify_program(program)
-            fifo = fifo_session.certify_program(program)
-            assert signature(rpo) == signature(fifo), bench.name
-            assert (
-                rpo.stats["iterations"] <= fifo.stats["iterations"]
-            ), bench.name
+        wl = PriorityWorklist({1: 0})
+        wl.push(1)
+        wl.push(1)
+        assert len(wl) == 1
+        assert wl.pop() == 1
+        assert not wl
 
 
 # -- transfer memoization -----------------------------------------------------
@@ -313,18 +230,6 @@ class TestTransferMemoization:
             (a.site_id, a.op_key, a.instance, a.definite)
             for a in first.alarms
         ]
-
-    def test_memoization_off_never_hits(self, cmp_specification):
-        session = CertifySession(
-            cmp_specification,
-            engine="tvla-relational",
-            options=CertifyOptions(memoize_transfers=False),
-        )
-        bench = next(b for b in all_programs() if b.name == "fig3")
-        program = parse_program(bench.source, cmp_specification)
-        session.certify_program(program)
-        report = session.certify_program(program)
-        assert report.stats["transfer_hits"] == 0
 
 
 # -- satellite regressions ----------------------------------------------------
@@ -361,46 +266,6 @@ class TestSatellites:
 
 
 class TestBenchComparison:
-    def test_comparison_rows_and_json(self, cmp_specification):
-        subset = [
-            b for b in all_programs() if b.name in ("fig3", "sec3_loop")
-        ]
-        result = run_comparison(
-            spec=cmp_specification, programs=subset, reps=1
-        )
-        assert result.alarms_equal
-        assert {r.program for r in result.rows} == {
-            "fig3",
-            "sec3_loop",
-        }
-        payload = result.to_json()
-        assert payload["kind"] == "comparison"
-        assert payload["alarms_equal"] is True
-        assert len(payload["rows"]) == 2
-        json.dumps(payload)  # serializable
-
-    def test_cli_bench_compare_check(self, tmp_path):
-        from repro.cli import main
-
-        out = tmp_path / "bench.json"
-        code = main(
-            [
-                "bench",
-                "--compare",
-                "--programs",
-                "fig3",
-                "--reps",
-                "1",
-                "--json",
-                str(out),
-                "--check",
-                "--quiet",
-            ]
-        )
-        assert code == 0
-        payload = json.loads(out.read_text())
-        assert payload["alarms_equal"] is True
-
     def test_cli_bench_precision_json(self, tmp_path):
         from repro.cli import main
 

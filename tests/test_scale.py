@@ -99,7 +99,6 @@ class TestMeasurement:
         meta = host_meta()
         assert meta["host_cpus"] >= 1
         assert isinstance(meta["python_version"], str)
-        assert isinstance(meta["packed"], bool)
 
     def test_find_superlinear_flags_blowup(self):
         rows = [
@@ -278,6 +277,4 @@ class TestBenchScaleCli:
         assert code == 0
         doc = json.loads(out.read_text())
         assert doc["kind"] == "precision"
-        assert set(doc["meta"]) >= {
-            "host_cpus", "python_version", "packed",
-        }
+        assert set(doc["meta"]) >= {"host_cpus", "python_version"}

@@ -74,6 +74,9 @@ class TestAdmissionAndEnvelope:
                     {"source": FIG3, "spec": "nope"},
                     {"source": FIG3, "engine": "nope"},
                     {"source": FIG3, "options": {"bogus": 1}},
+                    # every engine runs one worklist order; naming one
+                    # is an unknown option, not a cache-key salt
+                    {"source": FIG3, "options": {"worklist": "rpo"}},
                 )
             ]
             await service.stop()
@@ -159,21 +162,21 @@ class TestStoreHits:
             rel = await service.certify(
                 {"source": FIG3, "engine": "relational", "tenant": "a"}
             )
-            fifo = await service.certify(
+            shallow = await service.certify(
                 {
                     "source": FIG3,
                     "engine": "fds",
                     "tenant": "a",
-                    "options": {"worklist": "fifo"},
+                    "options": {"inline_depth": 3},
                 }
             )
             await service.stop()
-            return fds[1], rel[1], fifo[1]
+            return fds[1], rel[1], shallow[1]
 
-        fds, rel, fifo = run(scenario())
-        keys = {p["served"]["key"] for p in (fds, rel, fifo)}
+        fds, rel, shallow = run(scenario())
+        keys = {p["served"]["key"] for p in (fds, rel, shallow)}
         assert len(keys) == 3
-        for payload in (rel, fifo):
+        for payload in (rel, shallow):
             assert payload["served"]["path"] == "certify"
 
     def test_tampered_stored_certificate_triggers_recertification(self):

@@ -1,14 +1,10 @@
-"""Tests for the session-based public API and the bounded facade cache."""
+"""Tests for the session-based public API and its bounded caches."""
 
 import pytest
 
 from repro import api
-from repro.api import (
-    CertifyOptions,
-    CertifySession,
-    certify_source,
-    derive_abstraction,
-)
+from repro.api import CertifyOptions, CertifySession
+from repro.lang.types import parse_program
 from repro.runtime.trace import CollectingTracer
 from repro.suite import by_name
 
@@ -16,11 +12,13 @@ FIG3 = by_name("fig3").source
 
 
 class TestCertifySession:
-    def test_certify_matches_legacy_api(self, cmp_specification):
+    def test_certify_matches_certify_program(self, cmp_specification):
         session = CertifySession(cmp_specification, engine="fds")
         report = session.certify(FIG3)
-        legacy = certify_source(FIG3, cmp_specification, "fds")
-        assert sorted(report.alarm_lines()) == sorted(legacy.alarm_lines())
+        parsed = CertifySession(cmp_specification, engine="fds").certify_program(
+            parse_program(FIG3, cmp_specification)
+        )
+        assert sorted(report.alarm_lines()) == sorted(parsed.alarm_lines())
 
     def test_certify_many_preserves_order(self, cmp_specification):
         sources = [FIG3, by_name("scanner").source, by_name("sec3_loop").source]
@@ -65,8 +63,6 @@ class TestCertifySession:
         assert len(unpruned.alarms) >= len(pruned.alarms)
 
     def test_spec_mismatch_rejected(self, cmp_specification, grp_specification):
-        from repro.lang.types import parse_program
-
         program = parse_program(FIG3, cmp_specification)
         session = CertifySession(grp_specification)
         with pytest.raises(ValueError, match="parsed against spec"):
@@ -96,14 +92,21 @@ class TestCertifySession:
         )
 
 
-class TestLegacyFacade:
+class TestAbstractionCache:
     def test_shared_cache_is_bounded_lru(self, cmp_specification):
-        stats = api.abstraction_cache_stats()
+        """The batch runtime's process-wide cache, shared by sessions."""
+        from repro.runtime.batch import WARM_ABSTRACTIONS
+
+        stats = WARM_ABSTRACTIONS.stats()
         assert stats.maxsize == api.DEFAULT_CACHE_SIZE
-        first = derive_abstraction(cmp_specification)
-        second = derive_abstraction(cmp_specification)
+        first = CertifySession(
+            cmp_specification, cache=WARM_ABSTRACTIONS
+        ).abstraction()
+        second = CertifySession(
+            cmp_specification, cache=WARM_ABSTRACTIONS
+        ).abstraction()
         assert first is second
-        assert api.abstraction_cache_stats().hits > stats.hits
+        assert WARM_ABSTRACTIONS.stats().hits > stats.hits
 
     def test_unhashable_kwargs_regression(self, cmp_specification, monkeypatch):
         """tuple(sorted(kwargs.items())) used to raise TypeError as soon
@@ -117,9 +120,10 @@ class TestLegacyFacade:
             return SimpleNamespace(stats=SimpleNamespace(families=0))
 
         monkeypatch.setattr(api, "derive", fake_derive)
-        first = derive_abstraction(cmp_specification, budget=[1, 2])
-        again = derive_abstraction(cmp_specification, budget=[1, 2])
-        other = derive_abstraction(cmp_specification, budget=[2, 1])
+        session = CertifySession(cmp_specification)
+        first = session.abstraction(budget=[1, 2])
+        again = session.abstraction(budget=[1, 2])
+        other = session.abstraction(budget=[2, 1])
         assert first is again  # equal unhashable kwargs hit the cache
         assert other is not first
         assert len(calls) == 2
@@ -134,6 +138,7 @@ class TestLegacyFacade:
                 stats=SimpleNamespace(families=0)
             ),
         )
-        a = derive_abstraction(cmp_specification, opts={"x": 1, "y": 2})
-        b = derive_abstraction(cmp_specification, opts={"y": 2, "x": 1})
+        session = CertifySession(cmp_specification)
+        a = session.abstraction(opts={"x": 1, "y": 2})
+        b = session.abstraction(opts={"y": 2, "x": 1})
         assert a is b

@@ -10,14 +10,14 @@ from repro.logic.kleene import FALSE3, HALF, TRUE3
 from repro.logic.terms import Base
 from repro.runtime import explore
 from repro.suite import by_name, heap_programs
-from repro.tvla import ThreeValuedStructure, TvlaEngine
+from repro.tvla import PackedStructure, TvlaEngine
 from repro.tvp import specialized_translation
 from repro.tvp.program import Action, Check, PredicateDecl, TvpProgram, Update
 
 
 class TestThreeValuedEval:
     def make(self):
-        s = ThreeValuedStructure()
+        s = PackedStructure()
         u1 = s.new_node()
         u2 = s.new_node(summary=True)
         s.set("p", (u1,), TRUE3)
@@ -56,7 +56,7 @@ class TestThreeValuedEval:
 
 class TestCanonicalAbstraction:
     def test_merges_equal_vectors_into_summary(self):
-        s = ThreeValuedStructure()
+        s = PackedStructure()
         u1, u2, u3 = s.new_node(), s.new_node(), s.new_node()
         s.set("a", (u1,), TRUE3)
         # u2 and u3 agree on the abstraction predicate "a" (both false)
@@ -66,7 +66,7 @@ class TestCanonicalAbstraction:
         assert len(merged) == 1
 
     def test_predicate_values_join_on_merge(self):
-        s = ThreeValuedStructure()
+        s = PackedStructure()
         u1, u2 = s.new_node(), s.new_node()
         s.set("b", (u1,), TRUE3)  # "b" is NOT an abstraction predicate
         result = s.canonicalize(["a"])
@@ -74,7 +74,7 @@ class TestCanonicalAbstraction:
         assert result.get("b", (node,)) is HALF
 
     def test_bounded_by_vector_count(self):
-        s = ThreeValuedStructure()
+        s = PackedStructure()
         for _ in range(10):
             s.new_node()
         result = s.canonicalize(["a"])
@@ -82,7 +82,7 @@ class TestCanonicalAbstraction:
 
     def test_canonical_key_stable_under_renaming(self):
         def build(order):
-            s = ThreeValuedStructure()
+            s = PackedStructure()
             nodes = [s.new_node() for _ in range(2)]
             s.set("a", (nodes[order[0]],), TRUE3)
             return s.canonicalize(["a"])
@@ -92,15 +92,15 @@ class TestCanonicalAbstraction:
         assert k1 == k2
 
     def test_join_disagreement_becomes_half(self):
-        a = ThreeValuedStructure()
+        a = PackedStructure()
         ua = a.new_node()
         a.set("a", (ua,), TRUE3)
         a.nullary["flag"] = TRUE3
-        b = ThreeValuedStructure()
+        b = PackedStructure()
         ub = b.new_node()
         b.set("a", (ub,), TRUE3)
         b.nullary["flag"] = FALSE3
-        joined = ThreeValuedStructure.join(a, b, ["a"])
+        joined = PackedStructure.join(a, b, ["a"])
         assert joined.nullary["flag"] is HALF
         assert len(joined.nodes) == 1
 
