@@ -191,19 +191,18 @@ def build_batch_parser() -> argparse.ArgumentParser:
         "--quiet", action="store_true", help="suppress the summary table"
     )
     group = parser.add_argument_group(
-        "work-stealing shards",
-        "split the manifest into per-shard work queues served by the "
-        "pool (workers steal from the longest remaining queue), or "
-        "hand shards to other hosts via a shared --shard-dir",
+        "shards",
+        "lay the run's certificates and checkpoint journals out as "
+        "shards under --shard-dir (every job still runs on the one "
+        "pool), or hand shards to other hosts via that directory",
     )
     group.add_argument(
         "--shards",
         type=int,
         default=None,
         metavar="N",
-        help="run the manifest through the work-stealing coordinator "
-        "with N shards (default shards = --jobs when any shard flag "
-        "is given)",
+        help="lay the results out as N shards under --shard-dir (job i "
+        "goes to shard i mod N; default N = --jobs)",
     )
     group.add_argument(
         "--shard-dir",
@@ -289,6 +288,17 @@ def _governor_options(args: argparse.Namespace):
         max_structures=args.max_structures,
         ladder=True if args.ladder else None,
     )
+
+
+def _write_json(doc, dest: Optional[str]) -> None:
+    """Write ``doc`` as indented JSON to ``dest`` (``-`` = stdout,
+    ``None`` = nowhere): the one ``--json -|PATH`` behaviour."""
+    if dest == "-":
+        print(json.dumps(doc, indent=2, sort_keys=True))
+    elif dest:
+        with open(dest, "w") as handle:
+            json.dump(doc, handle, indent=2, sort_keys=True)
+            handle.write("\n")
 
 
 def build_bench_parser() -> argparse.ArgumentParser:
@@ -842,14 +852,7 @@ def certify_main(argv: Optional[List[str]] = None) -> int:
             )
             if not args.quiet:
                 print(line)
-    if args.json:
-        payload = {"spec": args.spec, "certifications": records}
-        if args.json == "-":
-            print(json.dumps(payload, indent=2, sort_keys=True))
-        else:
-            with open(args.json, "w") as handle:
-                json.dump(payload, handle, indent=2, sort_keys=True)
-                handle.write("\n")
+    _write_json({"spec": args.spec, "certifications": records}, args.json)
     if rejects:
         print(f"{rejects} certificate(s) failed the check", file=sys.stderr)
         return 1
@@ -931,12 +934,7 @@ def check_main(argv: Optional[List[str]] = None) -> int:
         "rejected": rejected,
         "certificates": records,
     }
-    if args.json == "-":
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    elif args.json:
-        with open(args.json, "w") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-            handle.write("\n")
+    _write_json(payload, args.json)
     if not args.quiet:
         print(f"{accepted} accepted, {rejected} rejected")
     return 0 if rejected == 0 else 1
@@ -1066,12 +1064,7 @@ def fuzz_main(argv: Optional[List[str]] = None) -> int:
     payload["shrunk_reproducers"] = shrunk
     if gate is not None:
         payload["certificates"] = gate.result.to_json()
-    if args.json == "-":
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    elif args.json:
-        with open(args.json, "w") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-            handle.write("\n")
+    _write_json(payload, args.json)
     if not args.quiet:
         print(result.format_summary())
         if gate is not None:
@@ -1239,18 +1232,13 @@ def bench_main(argv: Optional[List[str]] = None) -> int:
     # provenance (cpu count, python version), whichever bench mode
     # produced it
     payload.setdefault("meta", host_meta())
-    if args.json == "-":
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    elif args.json:
-        if os.path.exists(args.json) and not args.force:
-            print(
-                f"error: {args.json} exists; pass --force to overwrite",
-                file=sys.stderr,
-            )
-            return 2
-        with open(args.json, "w") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-            handle.write("\n")
+    if args.json not in (None, "-") and os.path.exists(args.json) and not args.force:
+        print(
+            f"error: {args.json} exists; pass --force to overwrite",
+            file=sys.stderr,
+        )
+        return 2
+    _write_json(payload, args.json)
     if args.check and not ok:
         print("bench check FAILED", file=sys.stderr)
         return 1
@@ -1276,12 +1264,7 @@ def batch_main(argv: Optional[List[str]] = None) -> int:
         except (OSError, json.JSONDecodeError, ValueError) as error:
             print(f"error: merge failed: {error}", file=sys.stderr)
             return 2
-        if args.json == "-":
-            print(json.dumps(summary, indent=2, sort_keys=True))
-        elif args.json:
-            with open(args.json, "w") as handle:
-                json.dump(summary, handle, indent=2, sort_keys=True)
-                handle.write("\n")
+        _write_json(summary, args.json)
         if not args.quiet:
             print(
                 f"merged {summary['merged']}/{summary['jobs_journaled']} "
@@ -1291,6 +1274,44 @@ def batch_main(argv: Optional[List[str]] = None) -> int:
                 f"{len(summary['missing'])} missing)"
             )
         return 0 if summary["ok"] else 1
+
+    sharded = args.shard_dir is not None or args.shard_index is not None
+    # a shard layout fixes where certificates and journals go
+    clash = [
+        flag
+        for flag, value in (
+            ("--emit-certs", args.emit_certs),
+            ("--checkpoint-dir", args.checkpoint_dir),
+            ("--run-id", args.run_id),
+            (
+                "--shards",
+                args.shards if args.shard_index is not None else None,
+            ),
+        )
+        if value is not None
+    ]
+    if sharded and clash:
+        print(
+            f"error: {', '.join(clash)} conflict(s) with the shard layout: "
+            "a sharded run writes certificates and journals under "
+            "--shard-dir (collect the certificates with --merge-shards)",
+            file=sys.stderr,
+        )
+        return 2
+    if args.resume and not (args.checkpoint_dir or args.shard_dir):
+        print("error: --resume requires --checkpoint-dir", file=sys.stderr)
+        return 2
+    runner_options = dict(
+        max_workers=args.jobs,
+        default_timeout=args.timeout,
+        default_fallback=args.fallback,
+        max_retries=args.retries,
+        default_deadline=args.deadline,
+        default_max_steps=args.governor_steps,
+        default_max_structures=args.max_structures,
+        default_ladder=True if args.ladder else None,
+        resume=args.resume,
+    )
 
     if args.shard_index is not None:
         from repro.runtime.coordinator import run_shard
@@ -1303,116 +1324,61 @@ def batch_main(argv: Optional[List[str]] = None) -> int:
             return 2
         try:
             result = run_shard(
-                args.shard_dir,
-                args.shard_index,
-                max_workers=args.jobs,
-                resume=args.resume,
-                default_timeout=args.timeout,
-                default_fallback=args.fallback,
+                args.shard_dir, args.shard_index, **runner_options
             )
         except (OSError, json.JSONDecodeError, ValueError) as error:
             print(f"error: shard run failed: {error}", file=sys.stderr)
             return 2
-        if args.json == "-":
-            print(json.dumps(result.to_json(), indent=2, sort_keys=True))
-        elif args.json:
-            with open(args.json, "w") as handle:
-                json.dump(
-                    result.to_json(), handle, indent=2, sort_keys=True
-                )
-                handle.write("\n")
-        if not args.quiet:
-            print(result.format_summary())
-        return 0 if result.ok else 1
-
-    if args.manifest is None:
-        print(
-            "error: a manifest is required unless --shard-index or "
-            "--merge-shards is given",
-            file=sys.stderr,
-        )
-        return 2
-    try:
-        jobs = load_manifest(args.manifest)
-    except (OSError, json.JSONDecodeError, ManifestError) as error:
-        print(f"error: bad manifest: {error}", file=sys.stderr)
-        return 2
-    if args.resume and not (args.checkpoint_dir or args.shard_dir):
-        print("error: --resume requires --checkpoint-dir", file=sys.stderr)
-        return 2
-
-    if args.write_shards:
-        from repro.runtime.coordinator import write_shard_plan
-
-        if not args.shard_dir:
+    else:
+        if args.manifest is None:
             print(
-                "error: --write-shards requires --shard-dir",
+                "error: a manifest is required unless --shard-index or "
+                "--merge-shards is given",
                 file=sys.stderr,
             )
             return 2
-        plan = write_shard_plan(
-            jobs, args.shard_dir, shards=args.shards or max(args.jobs, 1)
-        )
-        if not args.quiet:
-            print(
-                f"wrote shard plan {plan['run_id']}: {plan['shards']} "
-                f"shard(s) over {len(jobs)} job(s) in {args.shard_dir}"
-            )
-        return 0
+        try:
+            jobs = load_manifest(args.manifest)
+        except (OSError, json.JSONDecodeError, ManifestError) as error:
+            print(f"error: bad manifest: {error}", file=sys.stderr)
+            return 2
 
-    if args.shards is not None or args.shard_dir:
-        from repro.runtime.coordinator import WorkStealingCoordinator
+        if args.write_shards:
+            from repro.runtime.coordinator import write_shard_plan
 
-        coordinator = WorkStealingCoordinator(
-            jobs,
-            shards=args.shards,
-            max_workers=args.jobs,
-            shard_dir=args.shard_dir,
-            resume=args.resume,
-            default_timeout=args.timeout,
-            default_fallback=args.fallback,
-            max_retries=args.retries,
-            emit_certs=args.emit_certs is not None or bool(args.shard_dir),
-        )
-        result = coordinator.run()
-        if args.trace:
-            result.batch.write_trace(args.trace)
-        if args.json == "-":
-            print(json.dumps(result.to_json(), indent=2, sort_keys=True))
-        elif args.json:
-            with open(args.json, "w") as handle:
-                json.dump(
-                    result.to_json(), handle, indent=2, sort_keys=True
+            if not args.shard_dir:
+                print(
+                    "error: --write-shards requires --shard-dir",
+                    file=sys.stderr,
                 )
-                handle.write("\n")
-        if not args.quiet:
-            print(result.format_summary())
-        return 0 if result.batch.ok else 1
+                return 2
+            plan = write_shard_plan(
+                jobs, args.shard_dir, shards=args.shards or max(args.jobs, 1)
+            )
+            if not args.quiet:
+                print(
+                    f"wrote shard plan {plan['run_id']}: {plan['shards']} "
+                    f"shard(s) over {len(jobs)} job(s) in {args.shard_dir}"
+                )
+            return 0
 
-    runner = BatchRunner(
-        jobs,
-        max_workers=args.jobs,
-        default_timeout=args.timeout,
-        default_fallback=args.fallback,
-        max_retries=args.retries,
-        default_deadline=args.deadline,
-        default_max_steps=args.governor_steps,
-        default_max_structures=args.max_structures,
-        default_ladder=True if args.ladder else None,
-        emit_certs_dir=args.emit_certs,
-        checkpoint_dir=args.checkpoint_dir,
-        run_id=args.run_id,
-        resume=args.resume,
-    )
-    result = runner.run()
+        try:
+            runner = BatchRunner(
+                jobs,
+                emit_certs_dir=args.emit_certs,
+                checkpoint_dir=args.checkpoint_dir,
+                run_id=args.run_id,
+                shards=args.shards,
+                shard_dir=args.shard_dir,
+                **runner_options,
+            )
+        except (OSError, ValueError) as error:
+            print(f"error: {error}", file=sys.stderr)
+            return 2
+        result = runner.run()
     if args.trace:
         result.write_trace(args.trace)
-    if args.json == "-":
-        print(json.dumps(result.to_json(), indent=2, sort_keys=True))
-    elif args.json:
-        with open(args.json, "w") as handle:
-            json.dump(result.to_json(), handle, indent=2, sort_keys=True)
-            handle.write("\n")
+    _write_json(result.to_json(), args.json)
     if not args.quiet:
         print(result.format_summary())
         if args.trace:
@@ -1733,12 +1699,7 @@ def bench_serve_main(argv: Optional[List[str]] = None) -> int:
         from repro.bench.scale import host_meta
 
         results.setdefault("meta", host_meta())
-    if args.json == "-":
-        print(json.dumps(results, indent=2, sort_keys=True))
-    elif args.json:
-        with open(args.json, "w") as handle:
-            json.dump(results, handle, indent=2, sort_keys=True)
-            handle.write("\n")
+    _write_json(results, args.json)
     if not args.quiet:
         print(format_serve_bench(results))
     if args.check and not serve_bench_ok(
@@ -1866,9 +1827,9 @@ def build_chaos_parser() -> argparse.ArgumentParser:
         default="store,serve,batch",
         metavar="L1,L2,...",
         help="comma-separated layers to attack (default: store, serve "
-        "and batch; 'coordinator' and 'summarydb' attack the "
-        "work-stealing shards and the persistent summary database and "
-        "run only when named)",
+        "and batch; 'coordinator' and 'summarydb' attack a sharded "
+        "batch run and the persistent summary database and run only "
+        "when named)",
     )
     parser.add_argument(
         "--workdir",
@@ -1914,12 +1875,7 @@ def chaos_main(argv: Optional[List[str]] = None) -> int:
         workdir=args.workdir,
         progress=None if args.quiet else lambda line: print(line, flush=True),
     )
-    if args.json == "-":
-        print(json.dumps(report.to_json(), indent=2, sort_keys=True))
-    elif args.json:
-        with open(args.json, "w") as handle:
-            json.dump(report.to_json(), handle, indent=2, sort_keys=True)
-            handle.write("\n")
+    _write_json(report.to_json(), args.json)
     print(report.format_summary())
     return 0 if report.ok else 1
 

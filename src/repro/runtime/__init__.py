@@ -26,10 +26,10 @@ Production services for running certification at scale:
 * :mod:`repro.runtime.cache` — bounded, stats-reporting LRU memoization
   plus defensive cache-key normalization;
 * :mod:`repro.runtime.batch` — the batch-certification runtime: a
-  manifest of (client, spec, engine) jobs executed on a process pool
-  with per-job timeouts, engine fallback, and crash retry.  (Imported
-  lazily: it depends on :mod:`repro.api`, which itself uses this
-  package's tracing.)
+  manifest of (client, spec, engine) jobs executed on the supervised
+  process pool of :mod:`repro.runtime.executor` with per-job timeouts,
+  engine fallback, and crash retry.  (Imported lazily: it depends on
+  :mod:`repro.api`, which itself uses this package's tracing.)
 """
 
 from repro.runtime.cache import CacheStats, LRUCache, stable_key
@@ -63,8 +63,6 @@ _BATCH_EXPORTS = (
 )
 
 _COORDINATOR_EXPORTS = (
-    "CoordinatorResult",
-    "WorkStealingCoordinator",
     "load_shard_plan",
     "merge_shards",
     "run_shard",

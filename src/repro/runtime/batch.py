@@ -14,12 +14,21 @@ a *manifest* of (client, spec, engine) jobs on a
   A job that blows its budget is re-run on its configured fallback
   engine (e.g. a ``tvla-relational`` job falls back to ``fds``) and
   marked ``fallback`` rather than failing the batch;
-* **crash retry** — a worker that dies (OOM-killed, segfault) breaks the
-  pool; affected jobs are retried with exponential backoff on a fresh
-  pool, up to a per-job retry budget, and exhausted jobs degrade to
-  error results instead of poisoning the rest of the batch;
+* **crash retry** — jobs run on the supervised pool of
+  :mod:`repro.runtime.executor`: a worker that dies (OOM-killed,
+  segfault) breaks the pool, which is rebuilt with exponential backoff;
+  affected jobs are retried up to a per-job retry budget, and exhausted
+  jobs degrade to error results instead of poisoning the rest of the
+  batch;
 * **deterministic results** — results come back in manifest order no
   matter the completion order;
+* **shard layout** — with ``shard_dir`` the run writes job *i*'s
+  certificate and journal record under ``shard_dir/shard-(i mod N)/``,
+  one journal per shard named by that shard's run id: the same layout a
+  single shard run elsewhere (:func:`repro.runtime.coordinator.run_shard`)
+  writes, so the shards merge and resume alike.  Sharding changes only
+  where results land; every job still runs on the one pool, in
+  manifest order, taken by the first free worker;
 * **checkpoint/resume** — with a checkpoint directory every finished
   job is appended (fsynced) to a per-run JSONL journal as it
   completes; a re-run with ``resume=True`` (``repro batch --resume``)
@@ -29,9 +38,9 @@ a *manifest* of (client, spec, engine) jobs on a
   pool.  The run id defaults to a hash of the manifest's job
   identities, so resuming the same manifest finds its own journal;
 * **shared caching** — the parent derives every abstraction the manifest
-  needs *once* into the bounded LRU of :mod:`repro.api` before the pool
-  starts; forked workers inherit the warm cache for free, spawned ones
-  receive a pickled copy via the pool initializer;
+  needs *once* into :data:`~repro.runtime.executor.WARM_ABSTRACTIONS`
+  before the pool starts; forked workers inherit the warm cache for
+  free, spawned ones receive a pickled copy via the pool initializer;
 * **observability** — workers certify under a
   :class:`~repro.runtime.trace.CollectingTracer`; the per-phase events
   travel back with each result, and :meth:`BatchResult.write_trace`
@@ -61,19 +70,21 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import pickle
 import signal
 import threading
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-import multiprocessing
-
 from repro.certifier.report import CertificationReport
-from repro.runtime.cache import DEFAULT_CACHE_SIZE, CacheStats, LRUCache
+from repro.runtime.cache import CacheStats
+from repro.runtime.executor import (
+    WARM_ABSTRACTIONS,
+    PoisonedRequest,
+    WorkerSupervisor,
+)
 from repro.store.io import StoreIO
 from repro.runtime.guard import ResourceExhausted
 from repro.runtime.trace import (
@@ -88,11 +99,6 @@ from repro.runtime.trace import (
 DEFAULT_MAX_RETRIES = 2
 #: base of the exponential retry backoff, seconds
 DEFAULT_RETRY_BACKOFF = 0.25
-
-#: process-wide abstraction cache shared by every job in this process:
-#: the parent derives into it before forking the pool (``_prewarm``), so
-#: forked workers inherit it warm; spawn-based pools receive it pickled
-WARM_ABSTRACTIONS = LRUCache(DEFAULT_CACHE_SIZE, name="abstractions")
 
 
 class JobTimedOut(Exception):
@@ -135,7 +141,6 @@ class _WorkItem:
     engine: str
     timeout: Optional[float]
     is_fallback: bool = False
-    attempt: int = 0
 
 
 @dataclass
@@ -238,6 +243,28 @@ class JobResult:
         }
 
 
+def shard_name(index: int) -> str:
+    return f"shard-{index:03d}"
+
+
+@dataclass
+class ShardStats:
+    shard: int
+    jobs: int
+    completed: int = 0
+    resumed: int = 0
+    ok: int = 0
+
+    def to_json(self) -> dict:
+        return {
+            "shard": self.shard,
+            "jobs": self.jobs,
+            "completed": self.completed,
+            "resumed": self.resumed,
+            "ok": self.ok,
+        }
+
+
 @dataclass
 class BatchResult:
     """Results for the whole manifest, in manifest order."""
@@ -249,6 +276,8 @@ class BatchResult:
     cache: Optional[CacheStats] = None
     #: jobs restored from a checkpoint journal instead of re-run
     resumed: int = 0
+    #: per-shard counts when the run wrote a shard layout
+    shard_stats: Optional[List[ShardStats]] = None
 
     @property
     def ok(self) -> bool:
@@ -322,7 +351,7 @@ class BatchResult:
                     ),
                 }
             )
-        return {
+        doc: Dict[str, object] = {
             "seconds": round(self.seconds, 4),
             "jobs": self.jobs,
             "ok": self.ok,
@@ -330,6 +359,12 @@ class BatchResult:
             "cache": self.cache.to_json() if self.cache else None,
             "results": records,
         }
+        if self.shard_stats is not None:
+            doc["coordinator"] = {
+                "shards": len(self.shard_stats),
+                "per_shard": [s.to_json() for s in self.shard_stats],
+            }
+        return doc
 
     def format_summary(self) -> str:
         """The aggregated batch table (rendered by ``repro batch``)."""
@@ -371,6 +406,16 @@ class BatchResult:
             )
         if self.cache is not None:
             lines.append(f"[{self.cache}]")
+        if self.shard_stats is not None:
+            lines.append(
+                f"[{len(self.shard_stats)} shard(s): "
+                + ", ".join(
+                    f"#{s.shard}:{s.completed}/{s.jobs}"
+                    + (f"(+{s.resumed} resumed)" if s.resumed else "")
+                    for s in self.shard_stats
+                )
+                + "]"
+            )
         return "\n".join(lines)
 
 
@@ -537,6 +582,36 @@ def job_key(job: JobSpec) -> str:
     return hashlib.sha256(material.encode("utf-8")).hexdigest()
 
 
+def run_id_of(keys: Sequence[str]) -> str:
+    """The default journal name for a run over jobs with these keys."""
+    return hashlib.sha256("\n".join(keys).encode("utf-8")).hexdigest()[:16]
+
+
+def read_journal(path: str) -> Dict[str, dict]:
+    """Checkpoint journal records by job key (later records win).
+
+    A torn tail line — the mark of a run killed mid-append — ends the
+    read: appends are ordered and fsynced, so only the tail can tear.
+    """
+    text = StoreIO().read_text(path)
+    records: Dict[str, dict] = {}
+    for line in (text or "").splitlines():
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError:
+            break
+        if (
+            isinstance(record, dict)
+            and record.get("v") == 1
+            and isinstance(record.get("key"), str)
+        ):
+            records[record["key"]] = record
+    return records
+
+
 # -- worker side ---------------------------------------------------------------
 
 
@@ -591,18 +666,6 @@ def _deadline(seconds: Optional[float]) -> Iterator[None]:
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0.0)
         signal.signal(signal.SIGALRM, previous)
-
-
-def _init_worker(warm_blob: Optional[bytes]) -> None:
-    """Pool initializer: install pre-derived abstractions (spawn path).
-
-    With a forked pool the worker already inherits the parent's warm
-    cache and ``warm_blob`` is ``None``.
-    """
-    if not warm_blob:
-        return
-    for key, abstraction in pickle.loads(warm_blob):
-        WARM_ABSTRACTIONS.put(key, abstraction)
 
 
 def _effective_options(item: _WorkItem):
@@ -706,7 +769,6 @@ def _worker_run(item: _WorkItem) -> _JobOutcome:
     for event in tracer.events:
         event.job = item.job.name
         event.meta.setdefault("engine", item.engine)
-        event.meta.setdefault("attempt", item.attempt)
         if item.is_fallback:
             event.meta.setdefault("fallback", True)
     outcome.events = tracer.events
@@ -721,7 +783,10 @@ class BatchRunner:
 
     ``max_workers=1`` runs the jobs sequentially in-process (identical
     semantics, no pool overhead) — the baseline the parallel speedup is
-    measured against.
+    measured against.  ``shard_dir`` lays the run's certificates and
+    journals out as ``shards`` shards (default: one per worker) in place
+    of ``emit_certs_dir`` / ``checkpoint_dir`` / ``run_id``, and writes
+    the shard plan there unless one exists.
     """
 
     def __init__(
@@ -741,9 +806,16 @@ class BatchRunner:
         checkpoint_dir: Optional[str] = None,
         run_id: Optional[str] = None,
         resume: bool = False,
+        shards: Optional[int] = None,
+        shard_dir: Optional[str] = None,
     ) -> None:
         if not jobs:
             raise ValueError("no jobs to run")
+        if shard_dir is None and shards is not None:
+            raise ValueError(
+                "shards need a shard directory (--shard-dir) to be laid "
+                "out in"
+            )
         self.emit_certs_dir = emit_certs_dir
         self.jobs = [
             self._apply_defaults(
@@ -754,7 +826,9 @@ class BatchRunner:
                 default_max_steps,
                 default_max_structures,
                 default_ladder,
-                emit_certificates=emit_certs_dir is not None,
+                emit_certificates=(
+                    emit_certs_dir is not None or shard_dir is not None
+                ),
             )
             for job in jobs
         ]
@@ -763,17 +837,53 @@ class BatchRunner:
         self.retry_backoff = retry_backoff
         self._results: Dict[int, JobResult] = {}
         self._accum: Dict[int, Dict[str, object]] = {}
+        #: serializes result bookkeeping across the pool's job threads
+        self._lock = threading.Lock()
         self.checkpoint_dir = checkpoint_dir
         self.resume = bool(resume)
         self._io = StoreIO()
         self._job_keys = [job_key(job) for job in self.jobs]
-        self.run_id = run_id or hashlib.sha256(
-            "\n".join(self._job_keys).encode("utf-8")
-        ).hexdigest()[:16]
+        self.run_id = run_id or run_id_of(self._job_keys)
+        self.shard_dir = shard_dir
+        self.shards = 1
+        #: per job index: the certificate directory and journal it uses
+        self._cert_dirs: List[Optional[str]] = [emit_certs_dir] * len(self.jobs)
+        self._journals: List[Optional[str]] = [self.journal_path] * len(
+            self.jobs
+        )
+        if shard_dir is not None:
+            self.shards = max(
+                1, min(int(shards or self.max_workers), len(self.jobs))
+            )
+            for shard in range(self.shards):
+                base = os.path.join(shard_dir, shard_name(shard))
+                journal = os.path.join(
+                    base,
+                    "checkpoint",
+                    f"{run_id_of(self._job_keys[shard::self.shards])}.jsonl",
+                )
+                for index in range(shard, len(self.jobs), self.shards):
+                    self._cert_dirs[index] = os.path.join(base, "certs")
+                    self._journals[index] = journal
+            from repro.runtime.coordinator import (
+                PLAN_NAME,
+                load_shard_plan,
+                write_shard_plan,
+            )
+
+            if not os.path.exists(os.path.join(shard_dir, PLAN_NAME)):
+                write_shard_plan(jobs, shard_dir, shards=self.shards)
+            elif (planned := load_shard_plan(shard_dir)["shards"]) != self.shards:
+                # merge_shards reads the plan's count: a different
+                # layout would strand the extra shards
+                raise ValueError(
+                    f"{shard_dir} holds a {planned}-shard plan, "
+                    f"not {self.shards}"
+                )
 
     @property
     def journal_path(self) -> Optional[str]:
-        """Where this run's checkpoint journal lives (JSONL)."""
+        """Where an unsharded run's checkpoint journal lives (JSONL)."""
         if self.checkpoint_dir is None:
             return None
         return os.path.join(self.checkpoint_dir, f"{self.run_id}.jsonl")
@@ -840,13 +950,6 @@ class BatchRunner:
             event.job = "<prewarm>"
         return tracer.events
 
-    def _warm_blob(self) -> Optional[bytes]:
-        """Pickled warm-cache entries for spawn-based pools."""
-        try:
-            return pickle.dumps(WARM_ABSTRACTIONS.items())
-        except Exception:
-            return None  # workers will re-derive; correct, just slower
-
     # -- result accumulation ---------------------------------------------------
 
     def _bump(self, index: int, key: str, amount) -> None:
@@ -859,13 +962,14 @@ class BatchRunner:
             accum[key] = accum[key] + amount
 
     def _write_certificate(
-        self, job: JobSpec, outcome: _JobOutcome
+        self, index: int, outcome: _JobOutcome
     ) -> Optional[str]:
         """Persist a job's certificate text; returns the path written."""
-        if self.emit_certs_dir is None or outcome.certificate is None:
+        certs_dir = self._cert_dirs[index]
+        if certs_dir is None or outcome.certificate is None:
             return None
-        safe = job.name.replace(os.sep, "_")
-        path = os.path.join(self.emit_certs_dir, f"{safe}.cert.json")
+        safe = self.jobs[index].name.replace(os.sep, "_")
+        path = os.path.join(certs_dir, f"{safe}.cert.json")
         # atomic + fsynced: a crash mid-emission leaves the previous
         # certificate (or nothing), never a torn file a later --resume
         # would have to reject
@@ -903,7 +1007,7 @@ class BatchRunner:
             ),
             unknown_sites=outcome.unknown_sites,
             degraded_to=outcome.degraded_to,
-            certificate_path=self._write_certificate(item.job, outcome),
+            certificate_path=self._write_certificate(item.index, outcome),
             crash_kind=outcome.crash_kind,
         )
         self._journal(item.index, outcome)
@@ -912,7 +1016,7 @@ class BatchRunner:
 
     def _journal(self, index: int, outcome: Optional[_JobOutcome]) -> None:
         """Durably append the finalized result for job ``index``."""
-        path = self.journal_path
+        path = self._journals[index]
         if path is None:
             return
         result = self._results[index]
@@ -948,27 +1052,10 @@ class BatchRunner:
         self._io.append_line(path, json.dumps(record, sort_keys=True))
 
     def _load_checkpoint(self) -> Dict[str, dict]:
-        """Journal records by job key (later attempts win); a torn tail
-        line — the mark of a run killed mid-append — is ignored."""
-        path = self.journal_path
-        text = self._io.read_text(path) if path is not None else None
+        """Records of every journal this run writes, by job key."""
         records: Dict[str, dict] = {}
-        if not text:
-            return records
-        for line in text.splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                break  # appends are ordered+fsynced: only the tail tears
-            if (
-                isinstance(record, dict)
-                and record.get("v") == 1
-                and isinstance(record.get("key"), str)
-            ):
-                records[record["key"]] = record
+        for path in sorted({p for p in self._journals if p is not None}):
+            records.update(read_journal(path))
         return records
 
     def _restore(self, index: int, record: dict) -> bool:
@@ -1045,30 +1132,9 @@ class BatchRunner:
                 engine=job.fallback,
                 timeout=job.fallback_timeout,
                 is_fallback=True,
-                attempt=0,
             )
         self._finalize(item, outcome, outcome.status)
         return None
-
-    def _retry(self, item: _WorkItem, reason: str) -> Optional[_WorkItem]:
-        """Handle a worker death; return the retry item or finalize."""
-        if item.attempt >= self.max_retries:
-            self._finalize(
-                item,
-                _JobOutcome(
-                    status="error",
-                    engine=item.engine,
-                    error=f"worker died ({reason}); retries exhausted",
-                    # the worker process vanished (SIGKILL/OOM/segfault)
-                    # rather than raising — distinct from a worker-side
-                    # Python exception or a blown budget
-                    crash_kind="signal",
-                ),
-                "error",
-            )
-            return None
-        self._bump(item.index, "retries", 1)
-        return replace(item, attempt=item.attempt + 1)
 
     # -- execution -------------------------------------------------------------
 
@@ -1077,7 +1143,7 @@ class BatchRunner:
         self._results.clear()
         self._accum.clear()
         restored: set = set()
-        if self.resume and self.checkpoint_dir is not None:
+        if self.resume:
             records = self._load_checkpoint()
             for index in range(len(self.jobs)):
                 record = records.get(self._job_keys[index])
@@ -1094,11 +1160,28 @@ class BatchRunner:
             if index not in restored
         ]
         prewarm_events = [] if not items else self._prewarm()
-        if items:
-            if self.max_workers == 1:
-                self._run_inline(items)
-            else:
-                self._run_pool(items)
+        if self.max_workers == 1:
+            for item in items:
+                self._run_job(item, None)
+        elif items:
+            supervisor = WorkerSupervisor(
+                self.max_workers,
+                crash_limit=self.max_retries + 1,
+                backoff_base=self.retry_backoff,
+            )
+            try:
+                with ThreadPoolExecutor(
+                    self.max_workers, thread_name_prefix="repro-batch"
+                ) as threads:
+                    # the first free worker takes the next job, in
+                    # manifest order
+                    list(
+                        threads.map(
+                            lambda item: self._run_job(item, supervisor), items
+                        )
+                    )
+            finally:
+                supervisor.shutdown()
         results = [self._results[index] for index in range(len(self.jobs))]
         return BatchResult(
             results=results,
@@ -1107,65 +1190,70 @@ class BatchRunner:
             prewarm_events=prewarm_events,
             cache=WARM_ABSTRACTIONS.stats(),
             resumed=len(restored),
+            shard_stats=self._shard_stats(restored),
         )
 
-    def _run_inline(self, items: List[_WorkItem]) -> None:
-        for item in items:
-            follow: Optional[_WorkItem] = item
-            while follow is not None:
-                follow = self._absorb(follow, _worker_run(follow))
+    def _run_job(
+        self, item: _WorkItem, supervisor: Optional[WorkerSupervisor]
+    ) -> None:
+        """Run one job to its final result, fallback attempt included."""
+        follow: Optional[_WorkItem] = item
+        while follow is not None:
+            outcome = self._attempt(follow, supervisor)
+            with self._lock:
+                follow = self._absorb(follow, outcome)
 
-    def _mp_context(self):
-        # fork is preferred: workers inherit the warm derivation cache
-        # (and all imported modules) for free.
-        methods = multiprocessing.get_all_start_methods()
-        if "fork" in methods:
-            return multiprocessing.get_context("fork")
-        return multiprocessing.get_context()
-
-    def _run_pool(self, items: List[_WorkItem]) -> None:
-        pending: List[_WorkItem] = list(items)
-        pool_round = 0
-        context = self._mp_context()
-        warm_blob = (
-            None if context.get_start_method() == "fork" else self._warm_blob()
-        )
-        while pending:
-            if pool_round:
-                delay = min(
-                    2.0, self.retry_backoff * (2 ** (pool_round - 1))
+    def _attempt(
+        self, item: _WorkItem, supervisor: Optional[WorkerSupervisor]
+    ) -> _JobOutcome:
+        """One attempt in-process, or on the pool with crash retry."""
+        if supervisor is None:
+            return _worker_run(item)
+        key = f"{item.index}:{item.is_fallback}"
+        try:
+            return supervisor.submit(_worker_run, item, key=key)
+        except PoisonedRequest as error:
+            reason = type(error.__cause__).__name__
+            return _JobOutcome(
+                status="error",
+                engine=item.engine,
+                error=f"worker died ({reason}); retries exhausted",
+                # the worker process vanished (SIGKILL/OOM/segfault)
+                # rather than raising — distinct from a worker-side
+                # Python exception or a blown budget
+                crash_kind="signal",
+            )
+        except Exception as error:
+            # _worker_run never raises: this is the pool failing to
+            # ship the attempt or its outcome
+            return _JobOutcome(
+                status="error",
+                engine=item.engine,
+                error=f"{type(error).__name__}: {error}",
+                crash_kind="exception",
+            )
+        finally:
+            with self._lock:
+                self._bump(
+                    item.index,
+                    "retries",
+                    min(supervisor.crashes(key), self.max_retries),
                 )
-                time.sleep(delay)
-            pool_round += 1
-            with ProcessPoolExecutor(
-                max_workers=self.max_workers,
-                mp_context=context,
-                initializer=_init_worker,
-                initargs=(warm_blob,),
-            ) as pool:
-                futures = {}
-                for item in pending:
-                    futures[pool.submit(_worker_run, item)] = item
-                pending = []
-                while futures:
-                    done, _ = wait(futures, return_when=FIRST_COMPLETED)
-                    for future in done:
-                        item = futures.pop(future)
-                        try:
-                            outcome = future.result()
-                        except Exception as error:
-                            # _worker_run never raises, so any exception
-                            # here is infrastructure: the worker died and
-                            # the pool is (or is about to be) broken.
-                            follow = self._retry(item, type(error).__name__)
-                            if follow is not None:
-                                pending.append(follow)
-                            continue
-                        follow = self._absorb(item, outcome)
-                        if follow is not None:
-                            try:
-                                futures[
-                                    pool.submit(_worker_run, follow)
-                                ] = follow
-                            except Exception:
-                                pending.append(follow)
+
+    def _shard_stats(self, restored: set) -> Optional[List[ShardStats]]:
+        if self.shard_dir is None:
+            return None
+        stats = []
+        for shard in range(self.shards):
+            indices = range(shard, len(self.jobs), self.shards)
+            resumed = sum(1 for index in indices if index in restored)
+            stats.append(
+                ShardStats(
+                    shard=shard,
+                    jobs=len(indices),
+                    completed=len(indices) - resumed,
+                    resumed=resumed,
+                    ok=sum(1 for index in indices if self._results[index].ok),
+                )
+            )
+        return stats

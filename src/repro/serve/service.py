@@ -27,10 +27,9 @@ parallel on the worker pool.
 from __future__ import annotations
 
 import asyncio
-import multiprocessing
 import threading
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -40,12 +39,9 @@ from repro.cert import CertificateChecker, ConformanceCertificate, model
 from repro.cert.emit import options_payload
 from repro.easl.library import UnknownSpecError, available_specs, get_spec
 from repro.runtime.guard import ResourceExhausted, ResourceGovernor
+from repro.runtime.executor import PoisonedRequest, WorkerSupervisor
 from repro.runtime.trace import CollectingTracer, use_tracer
-from repro.serve.supervisor import (
-    PoisonedRequest,
-    StoreCircuitBreaker,
-    WorkerSupervisor,
-)
+from repro.serve.supervisor import POISON_THRESHOLD, StoreCircuitBreaker
 from repro.store import CertificateStore
 from repro.store.cas import lineage_key, request_key
 
@@ -189,30 +185,35 @@ def _proc_session(spec_name: str, options: CertifyOptions) -> CertifySession:
     return session
 
 
-def _pool_certify(
-    spec_name: str,
-    options: CertifyOptions,
+def _certify(
+    session: CertifySession,
     source: str,
     engine: str,
-    budget: Tuple[Optional[float], Optional[int], Optional[int]],
+    budget: TenantBudget,
+    parent: Optional[ConformanceCertificate],
 ):
-    """Process-pool entry: one certification in a worker process.
+    """One certify-on-miss under the tenant's budget, warm-started from
+    ``parent`` when there is one (a serve thread or a pool worker).
 
     Returns a picklable tagged tuple — ``("ok", report, steps)`` or
-    ``("breached", message, breach, partial, steps)`` — so the parent
-    can account, store, and answer without re-running anything.
+    ``("breached", message, breach, partial, steps)`` — so the caller can
+    account, store, and answer without re-running anything.
     """
-    session = _proc_session(spec_name, options)
-    deadline, max_steps, max_structures = budget
     governor = None
-    if deadline is not None or max_steps is not None or max_structures is not None:
+    if (
+        budget.deadline is not None
+        or budget.max_steps is not None
+        or budget.max_structures is not None
+    ):
         governor = ResourceGovernor(
-            deadline=deadline,
-            max_steps=max_steps,
-            max_structures=max_structures,
+            deadline=budget.deadline,
+            max_steps=budget.max_steps,
+            max_structures=budget.max_structures,
         )
     try:
-        report = session.certify(source, engine=engine, governor=governor)
+        report = session.certify(
+            source, engine=engine, governor=governor, incremental_from=parent
+        )
     except ResourceExhausted as error:
         return (
             "breached",
@@ -222,6 +223,20 @@ def _pool_certify(
             governor.steps if governor is not None else 0,
         )
     return ("ok", report, governor.steps if governor is not None else 0)
+
+
+def _pool_certify(
+    spec_name: str,
+    options: CertifyOptions,
+    source: str,
+    engine: str,
+    budget: TenantBudget,
+    parent: Optional[ConformanceCertificate],
+):
+    """Process-pool entry: :func:`_certify` on this worker's session."""
+    return _certify(
+        _proc_session(spec_name, options), source, engine, budget, parent
+    )
 
 
 class _SpecSession:
@@ -351,23 +366,14 @@ class CertificationService:
         )
         if self.config.worker_mode == "process":
             self._supervisor = WorkerSupervisor(
-                lambda: self._make_pool(workers),
+                workers,
+                crash_limit=POISON_THRESHOLD,
                 heartbeat=self.config.heartbeat,
             )
         self._workers = [
             asyncio.create_task(self._worker(), name=f"serve-worker-{i}")
             for i in range(workers)
         ]
-
-    @staticmethod
-    def _make_pool(workers: int) -> ProcessPoolExecutor:
-        # fork is preferred: workers inherit every session/abstraction
-        # the parent warmed before start (spawn re-derives per worker)
-        methods = multiprocessing.get_all_start_methods()
-        context = multiprocessing.get_context(
-            "fork" if "fork" in methods else None
-        )
-        return ProcessPoolExecutor(max_workers=workers, mp_context=context)
 
     async def stop(self) -> None:
         """Drain the queue, then tear down workers and the executor."""
@@ -751,20 +757,6 @@ class CertificationService:
             return self._process_check(job)
         return self._process_certify(job)
 
-    def _governor(self, state: _TenantState) -> Optional[ResourceGovernor]:
-        budget = state.budget
-        if (
-            budget.deadline is None
-            and budget.max_steps is None
-            and budget.max_structures is None
-        ):
-            return None
-        return ResourceGovernor(
-            deadline=budget.deadline,
-            max_steps=budget.max_steps,
-            max_structures=budget.max_structures,
-        )
-
     def _account(
         self,
         state: _TenantState,
@@ -911,49 +903,30 @@ class CertificationService:
     ) -> Tuple[int, Dict[str, object]]:
         entry = job.entry
         assert entry is not None and job.source is not None
+        parent = self._resolve_parent(job) if warm_start else None
+        budget = job.state.budget
         if self._supervisor is not None:
-            budget = job.state.budget
             outcome = self._supervisor.submit(
                 _pool_certify,
                 entry.spec.name,
                 entry.options,
                 job.source,
                 job.engine,
-                (budget.deadline, budget.max_steps, budget.max_structures),
-                request_key=key,
+                budget,
+                parent,
+                key=key,
             )
-            if outcome[0] == "breached":
-                _, message, breach, partial, steps = outcome
-                return self._breach_answer(
-                    job, key, message, breach, partial, steps, started
-                )
-            _, report, steps = outcome
-            return self._certified_answer(
-                job, key, report, steps, tracer, started
-            )
-        governor = self._governor(job.state)
-        steps = 0
-        parent_cert = self._resolve_parent(job) if warm_start else None
-        try:
+        else:
             with entry.lock:
-                report = entry.session.certify(
-                    job.source,
-                    engine=job.engine,
-                    governor=governor,
-                    incremental_from=parent_cert,
+                outcome = _certify(
+                    entry.session, job.source, job.engine, budget, parent
                 )
-        except ResourceExhausted as error:
+        if outcome[0] == "breached":
+            _, message, breach, partial, steps = outcome
             return self._breach_answer(
-                job,
-                key,
-                str(error),
-                error.breach,
-                error.partial,
-                governor.steps if governor is not None else 0,
-                started,
+                job, key, message, breach, partial, steps, started
             )
-        if governor is not None:
-            steps = governor.steps
+        _, report, steps = outcome
         return self._certified_answer(job, key, report, steps, tracer, started)
 
     def _resolve_parent(self, job: _Job) -> Optional[ConformanceCertificate]:
@@ -961,9 +934,7 @@ class CertificationService:
 
         An explicit ``parent`` hash wins; otherwise the store's lineage
         index supplies the latest certificate built under identical
-        analysis inputs (spec, engine options, abstraction).  Only the
-        in-process (thread) worker mode warm-starts — the process pool
-        re-derives sessions per worker and runs full certifications.
+        analysis inputs (spec, engine options, abstraction).
         ``engine="auto"`` requests only warm-start via an explicit
         parent: their lineage key fingerprints the unresolved name,
         while stored certificates fingerprint the engine that ran.

@@ -1,18 +1,14 @@
-"""Process supervision and failure isolation for the serve layer.
+"""Failure isolation for the serve layer.
 
 Two mechanisms keep the daemon answering when things die underneath it:
 
-* :class:`WorkerSupervisor` — owns the certify process pool.  A worker
-  that disappears mid-request (SIGKILLed by the OOM killer, segfaulted
-  in a native extension, or simply gone) breaks the whole
-  ``ProcessPoolExecutor``; the supervisor detects that, rebuilds the
-  pool with exponential backoff, and retries the victim request
-  **once**.  A request that kills *two* workers is declared poisoned
-  and quarantined — it gets a clean error immediately (and on every
-  later submission of the same key) instead of a crash-retry loop that
-  would grind the pool to dust.  A per-request heartbeat timeout
-  additionally catches workers that hang rather than die: the stuck
-  pool is killed outright and treated exactly like a crash.
+* worker crashes — ``--worker-mode process`` runs certify-on-miss on the
+  shared :class:`~repro.runtime.executor.WorkerSupervisor`.  The daemon
+  retries a request whose worker died **once**: a request that kills
+  :data:`POISON_THRESHOLD` workers is quarantined and answered with a
+  clean error immediately (and on every later submission of the same
+  key).  A per-request heartbeat additionally catches workers that hang
+  rather than die.
 
 * :class:`StoreCircuitBreaker` — wraps certificate-store I/O.  A few
   consecutive ``OSError``\\ s (disk yanked, ENOSPC, EIO) open the
@@ -22,174 +18,20 @@ Two mechanisms keep the daemon answering when things die underneath it:
   After the cooldown one probe operation is allowed through
   (half-open); success closes the breaker.
 
-Both are synchronous and thread-safe — they run on the service's
+The breaker is synchronous and thread-safe — it runs on the service's
 executor threads, not the event loop.
 """
 
 from __future__ import annotations
 
-import os
-import signal
 import threading
 import time
-from concurrent.futures import ProcessPoolExecutor, TimeoutError as FutureTimeout
-from concurrent.futures.process import BrokenProcessPool
 from typing import Callable, Dict, Optional, TypeVar
 
 T = TypeVar("T")
 
 #: worker crashes after which a request key is quarantined
 POISON_THRESHOLD = 2
-
-
-class PoisonedRequest(RuntimeError):
-    """This request killed :data:`POISON_THRESHOLD` workers; it will
-    not be retried (maps to a clean HTTP 500)."""
-
-
-class WorkerSupervisor:
-    """A self-healing process pool for certify-on-miss requests.
-
-    ``pool_factory`` builds a fresh ``ProcessPoolExecutor``; the
-    supervisor replaces the pool whenever it breaks.  ``heartbeat``
-    bounds one request's wall clock — a pool that exceeds it is
-    SIGKILLed (stuck worker ≡ dead worker).
-    """
-
-    def __init__(
-        self,
-        pool_factory: Callable[[], ProcessPoolExecutor],
-        *,
-        heartbeat: Optional[float] = None,
-        backoff_base: float = 0.05,
-        backoff_max: float = 2.0,
-        clock: Callable[[], float] = time.monotonic,
-        sleep: Callable[[float], None] = time.sleep,
-    ) -> None:
-        self._factory = pool_factory
-        self.heartbeat = heartbeat
-        self.backoff_base = backoff_base
-        self.backoff_max = backoff_max
-        self._clock = clock
-        self._sleep = sleep
-        self._pool: Optional[ProcessPoolExecutor] = None
-        self._lock = threading.Lock()
-        #: request key -> workers it has killed
-        self._crashes: Dict[str, int] = {}
-        self._poisoned: set = set()
-        self.stats = {
-            "worker_crashes": 0,
-            "pool_restarts": 0,
-            "heartbeat_kills": 0,
-            "poisoned": 0,
-            "retried": 0,
-        }
-
-    # -- pool lifecycle -------------------------------------------------------
-
-    def _ensure_pool(self) -> ProcessPoolExecutor:
-        with self._lock:
-            if self._pool is None:
-                self._pool = self._factory()
-            return self._pool
-
-    def _restart_pool(self, dead: ProcessPoolExecutor) -> None:
-        """Replace a broken pool (idempotent under racing threads)."""
-        with self._lock:
-            if self._pool is not dead:
-                return  # another thread already swapped it
-            restarts = self.stats["pool_restarts"]
-            self.stats["pool_restarts"] = restarts + 1
-            self._pool = None
-        dead.shutdown(wait=False)
-        delay = min(self.backoff_max, self.backoff_base * (2**restarts))
-        if delay > 0:
-            self._sleep(delay)
-
-    def _kill_pool(self, pool: ProcessPoolExecutor) -> None:
-        """SIGKILL every worker of a stuck pool (heartbeat breach)."""
-        for pid in list(getattr(pool, "_processes", {}) or {}):
-            try:
-                os.kill(pid, signal.SIGKILL)
-            except (OSError, ProcessLookupError):
-                pass
-
-    def shutdown(self) -> None:
-        with self._lock:
-            pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown(wait=False)
-
-    # -- submission -----------------------------------------------------------
-
-    def poisoned(self, request_key: str) -> bool:
-        with self._lock:
-            return request_key in self._poisoned
-
-    def submit(
-        self,
-        fn: Callable[..., T],
-        *args,
-        request_key: str,
-        timeout: Optional[float] = None,
-    ) -> T:
-        """Run ``fn(*args)`` on the supervised pool and return its result.
-
-        Raises :class:`PoisonedRequest` when this key has killed
-        :data:`POISON_THRESHOLD` workers (whether before this call or
-        during it).  Exceptions *raised by* ``fn`` in a healthy worker
-        propagate unchanged — those are the caller's business, not a
-        supervision event.
-        """
-        if self.poisoned(request_key):
-            raise PoisonedRequest(
-                f"request {request_key[:12]} is quarantined: it killed "
-                f"{POISON_THRESHOLD} workers"
-            )
-        effective_timeout = timeout if timeout is not None else self.heartbeat
-        while True:
-            pool = self._ensure_pool()
-            future = None
-            try:
-                future = pool.submit(fn, *args)
-                return future.result(effective_timeout)
-            except FutureTimeout:
-                with self._lock:
-                    self.stats["heartbeat_kills"] += 1
-                self._kill_pool(pool)
-                # the kill breaks the pool; fall through as a crash once
-                # the future surfaces it — but don't wait for that:
-                try:
-                    future.result(5.0)
-                except BaseException:
-                    pass
-                self._record_crash(request_key, pool)
-            except BrokenProcessPool:
-                self._record_crash(request_key, pool)
-            # crash recorded and pool restarted: retry unless poisoned
-            if self.poisoned(request_key):
-                raise PoisonedRequest(
-                    f"request {request_key[:12]} killed "
-                    f"{POISON_THRESHOLD} workers; not retrying"
-                )
-            with self._lock:
-                self.stats["retried"] += 1
-
-    def _record_crash(
-        self, request_key: str, pool: ProcessPoolExecutor
-    ) -> None:
-        with self._lock:
-            self.stats["worker_crashes"] += 1
-            count = self._crashes.get(request_key, 0) + 1
-            self._crashes[request_key] = count
-            if count >= POISON_THRESHOLD:
-                self._poisoned.add(request_key)
-                self.stats["poisoned"] += 1
-        self._restart_pool(pool)
-
-    def to_json(self) -> Dict[str, object]:
-        with self._lock:
-            return {**self.stats, "quarantined_keys": len(self._poisoned)}
 
 
 class StoreCircuitBreaker:

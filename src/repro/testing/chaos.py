@@ -582,8 +582,8 @@ def run_batch_scenario(seed: int, workdir: str) -> ScenarioResult:
 
 # -- coordinator scenario ------------------------------------------------------
 
-#: suite programs for the work-stealing scenario — enough jobs that the
-#: inline scheduler actually steals across its three shards
+#: suite programs for the sharded scenario — two jobs per shard, so a
+#: kill can land between jobs of one shard
 COORDINATOR_PROGRAMS = (
     "fig3", "sec3_loop", "alias_chain",
     "loop_invalidate", "remove_self_ok", "remove_breaks_sibling",
@@ -608,18 +608,18 @@ def _coordinator_jobs():
 def _coordinator_child(
     shard_dir: str, delay: float
 ) -> None:  # pragma: no cover - exercised via SIGKILLed child processes
-    import repro.runtime.coordinator as coordinator_module
+    import repro.runtime.batch as batch_module
 
     if delay > 0:
-        real_worker_run = coordinator_module._worker_run
+        real_worker_run = batch_module._worker_run
 
         def slowed(item):
             outcome = real_worker_run(item)
             time.sleep(delay)
             return outcome
 
-        coordinator_module._worker_run = slowed
-    coordinator_module.WorkStealingCoordinator(
+        batch_module._worker_run = slowed
+    batch_module.BatchRunner(
         _coordinator_jobs(),
         shards=3,
         max_workers=1,
@@ -644,18 +644,16 @@ def _shard_journal_lines(shard_dir: str) -> int:
 
 
 def run_coordinator_scenario(seed: int, workdir: str) -> ScenarioResult:
-    """SIGKILL a stealing coordinator mid-run, resume, merge, compare.
+    """SIGKILL a sharded batch run mid-run, resume, merge, compare.
 
-    The worker dies between steals; the resumed coordinator must restore
-    every journaled job from the per-shard journals, finish the
-    remainder, and end with statuses and certificate bytes identical to
-    an uninterrupted reference run.  The final merge must verify every
+    The run dies between jobs; the resumed run must restore every
+    journaled job from the per-shard journals, finish the remainder, and
+    end with statuses and certificate bytes identical to an
+    uninterrupted reference run.  The final merge must verify every
     certificate against its journal hash.
     """
-    from repro.runtime.coordinator import (
-        WorkStealingCoordinator,
-        merge_shards,
-    )
+    from repro.runtime.batch import BatchRunner
+    from repro.runtime.coordinator import merge_shards
 
     rng = random.Random(seed)
     kill_after = rng.choice((1, 2, 4, len(COORDINATOR_PROGRAMS)))
@@ -666,12 +664,10 @@ def run_coordinator_scenario(seed: int, workdir: str) -> ScenarioResult:
     ref_dir = os.path.join(base, "ref")
     chaos_dir = os.path.join(base, "chaos")
 
-    reference = WorkStealingCoordinator(
+    reference = BatchRunner(
         _coordinator_jobs(), shards=3, max_workers=1, shard_dir=ref_dir
     ).run()
-    ref_status = {
-        r.job.name: r.status for r in reference.batch.results
-    }
+    ref_status = {r.job.name: r.status for r in reference.results}
     ref_merge = merge_shards(ref_dir)
     ref_bytes = {}
     for entry in sorted(os.listdir(ref_merge["dest"])):
@@ -705,15 +701,15 @@ def run_coordinator_scenario(seed: int, workdir: str) -> ScenarioResult:
     child.join(30.0)
     result.notes["journaled_before_kill"] = _shard_journal_lines(chaos_dir)
 
-    resumed = WorkStealingCoordinator(
+    resumed = BatchRunner(
         _coordinator_jobs(),
         shards=3,
         max_workers=1,
         shard_dir=chaos_dir,
         resume=True,
     ).run()
-    result.notes["resumed_jobs"] = resumed.batch.resumed
-    got_status = {r.job.name: r.status for r in resumed.batch.results}
+    result.notes["resumed_jobs"] = resumed.resumed
+    got_status = {r.job.name: r.status for r in resumed.results}
     if got_status != ref_status:
         result.violations.append(
             f"resumed statuses {got_status} != fault-free {ref_status}"

@@ -7,6 +7,7 @@ import pytest
 
 from repro.cli import main
 from repro.runtime import batch as batch_mod
+from repro.runtime import executor as executor_mod
 from repro.runtime.batch import (
     BatchRunner,
     JobSpec,
@@ -248,7 +249,7 @@ class TestPoolExecution:
             batch_mod, "_execute_certification", always_crash
         )
         monkeypatch.setattr(
-            batch_mod.time, "sleep", lambda s: slept.append(s)
+            executor_mod.time, "sleep", lambda s: slept.append(s)
         )
         result = BatchRunner(
             fds_jobs()[:1],
@@ -467,17 +468,35 @@ class TestBatchCli:
         data = json.loads(capsys.readouterr().out)
         assert data["ok"] is True and len(data["results"]) == 4
 
-    def test_batch_governor_flags_end_to_end(self, tmp_path, capsys):
+    @pytest.mark.parametrize("layout", ["plain", "sharded", "handoff"])
+    def test_batch_governor_flags_end_to_end(self, tmp_path, capsys, layout):
         manifest = tmp_path / "m.json"
         manifest.write_text(
             json.dumps(
                 {"jobs": [{"suite": "fig3", "engine": "tvla-relational"}]}
             )
         )
+        shard_dir = str(tmp_path / "shards")
+        run = {
+            "plain": [str(manifest)],
+            "sharded": [str(manifest), "--shards", "2", "--shard-dir", shard_dir],
+            "handoff": ["--shard-index", "0", "--shard-dir", shard_dir],
+        }[layout]
+        if layout == "handoff":
+            assert main(
+                [
+                    "batch",
+                    str(manifest),
+                    "--write-shards",
+                    "--shard-dir",
+                    shard_dir,
+                    "--quiet",
+                ]
+            ) == 0
         code = main(
             [
                 "batch",
-                str(manifest),
+                *run,
                 "--max-steps",
                 "5",
                 "--ladder",
@@ -492,6 +511,34 @@ class TestBatchCli:
         assert record["governor"]["breach"] == "steps"
         assert record["governor"]["degraded_to"] == "fds"
         assert record["governor"]["salvaged"] is not None
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--shards", "2", "--emit-certs", "{out}"],
+            ["--shards", "2", "--checkpoint-dir", "{out}"],
+            ["--shard-dir", "{shards}", "--emit-certs", "{out}"],
+            ["--shard-dir", "{shards}", "--run-id", "r1"],
+        ],
+    )
+    def test_flags_the_shard_layout_cannot_honour_exit_2(
+        self, tmp_path, capsys, flags
+    ):
+        # these used to exit 0 and silently drop the flag
+        manifest = self._write_manifest(tmp_path)
+        out = tmp_path / "out"
+        paths = {"out": str(out), "shards": str(tmp_path / "shards")}
+        code = main(
+            [
+                "batch",
+                str(manifest),
+                *[flag.format(**paths) for flag in flags],
+                "--quiet",
+            ]
+        )
+        assert code == 2
+        assert "shard" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_batch_bad_manifest_exit_2(self, tmp_path, capsys):
         manifest = tmp_path / "bad.json"

@@ -1,10 +1,11 @@
-"""The work-stealing coordinator: sharding, handoff, merge, resume.
+"""Sharded batch runs: layout, handoff, merge, resume.
 
-The coordinator must be a refinement of the plain batch runner — same
-results in the same manifest order, whatever the sharding — while its
-per-shard journals and certificate directories carry every crash-safety
-property across hosts: a shard run elsewhere merges by hash, a killed
-run resumes from the journals, and tampering is reported, not merged.
+A sharded run must be a refinement of the plain batch runner — same
+results in the same manifest order and the same certificate bytes,
+whatever the sharding — while its per-shard journals and certificate
+directories carry every crash-safety property across hosts: a shard run
+elsewhere merges by hash, a killed run resumes from the journals, and
+tampering is reported, not merged.
 """
 
 import json
@@ -14,7 +15,6 @@ import pytest
 
 from repro.runtime.batch import BatchRunner, JobSpec
 from repro.runtime.coordinator import (
-    WorkStealingCoordinator,
     load_shard_plan,
     merge_shards,
     run_shard,
@@ -35,82 +35,101 @@ def suite_jobs(count=6, engine="fds"):
     ]
 
 
+def cert_bytes(directory):
+    found = {}
+    for name in sorted(os.listdir(directory)):
+        if name.endswith(".cert.json"):
+            with open(os.path.join(directory, name), "rb") as handle:
+                found[name] = handle.read()
+    return found
+
+
 class TestCoordinatorRun:
-    def test_matches_plain_batch_runner(self):
+    def test_matches_plain_batch_runner(self, tmp_path):
         jobs = suite_jobs()
-        plain = BatchRunner(jobs, max_workers=1, emit_certs_dir=None).run()
-        coordinated = WorkStealingCoordinator(
-            jobs, shards=3, max_workers=1, emit_certs=False
+        plain_certs = str(tmp_path / "plain")
+        plain = BatchRunner(
+            jobs, max_workers=1, emit_certs_dir=plain_certs
         ).run()
-        assert coordinated.batch.ok
-        assert [r.job.name for r in coordinated.batch.results] == [
+        shard_dir = str(tmp_path / "shards")
+        sharded = BatchRunner(
+            jobs, shards=3, max_workers=1, shard_dir=shard_dir
+        ).run()
+        assert sharded.ok
+        assert [r.job.name for r in sharded.results] == [
             r.job.name for r in plain.results
         ]
-        assert [r.status for r in coordinated.batch.results] == [
+        assert [r.status for r in sharded.results] == [
             r.status for r in plain.results
         ]
-        assert [
-            sorted(r.alarm_lines) for r in coordinated.batch.results
-        ] == [sorted(r.alarm_lines) for r in plain.results]
+        assert [sorted(r.alarm_lines) for r in sharded.results] == [
+            sorted(r.alarm_lines) for r in plain.results
+        ]
+        assert len(sharded.shard_stats) == 3
+        assert sum(s.completed for s in sharded.shard_stats) == 6
+        # the same certificate bytes, whichever layout wrote them
+        merged = merge_shards(shard_dir)
+        assert merged["ok"]
+        assert cert_bytes(merged["dest"]) == cert_bytes(plain_certs)
+        assert len(cert_bytes(plain_certs)) == 6
 
-    def test_inline_scheduler_steals(self):
-        result = WorkStealingCoordinator(
-            suite_jobs(), shards=3, max_workers=1, emit_certs=False
+    def test_shards_clamped_to_jobs(self, tmp_path):
+        result = BatchRunner(
+            suite_jobs(2),
+            shards=8,
+            max_workers=1,
+            shard_dir=str(tmp_path / "shards"),
         ).run()
-        # three round-robin queues drained by one worker: the scheduler
-        # crosses shards repeatedly, each crossing is a steal
-        assert result.steals > 0
-        assert result.shards == 3
-        assert sum(s.completed for s in result.shard_stats) == 6
+        assert len(result.shard_stats) == 2
 
-    def test_shards_clamped_to_jobs(self):
-        result = WorkStealingCoordinator(
-            suite_jobs(2), shards=8, max_workers=1, emit_certs=False
-        ).run()
-        assert result.shards == 2
-
-    def test_result_document(self):
-        result = WorkStealingCoordinator(
-            suite_jobs(3), shards=2, max_workers=1, emit_certs=False
+    def test_result_document(self, tmp_path):
+        result = BatchRunner(
+            suite_jobs(3),
+            shards=2,
+            max_workers=1,
+            shard_dir=str(tmp_path / "shards"),
         ).run()
         doc = result.to_json()
         assert doc["coordinator"]["shards"] == 2
         assert len(doc["coordinator"]["per_shard"]) == 2
-        assert "steal" in result.format_summary()
+        assert "2 shard(s)" in result.format_summary()
 
-    def test_pool_mode_matches_inline(self):
+    def test_pool_mode_matches_inline(self, tmp_path):
         jobs = suite_jobs(4)
-        inline = WorkStealingCoordinator(
-            jobs, shards=2, max_workers=1, emit_certs=False
+        inline = BatchRunner(
+            jobs, shards=2, max_workers=1, shard_dir=str(tmp_path / "a")
         ).run()
-        pooled = WorkStealingCoordinator(
-            jobs, shards=2, max_workers=2, emit_certs=False
+        pooled = BatchRunner(
+            jobs, shards=2, max_workers=2, shard_dir=str(tmp_path / "b")
         ).run()
-        assert pooled.batch.ok
-        assert [r.status for r in pooled.batch.results] == [
-            r.status for r in inline.batch.results
+        assert pooled.ok
+        assert [r.status for r in pooled.results] == [
+            r.status for r in inline.results
         ]
+        assert cert_bytes(os.path.join(str(tmp_path / "b"), "shard-001", "certs")) == (
+            cert_bytes(os.path.join(str(tmp_path / "a"), "shard-001", "certs"))
+        )
 
 
 class TestShardDirProtocol:
     def test_plan_written_and_resume_restores_all(self, tmp_path):
         shard_dir = str(tmp_path / "shards")
         jobs = suite_jobs()
-        first = WorkStealingCoordinator(
+        first = BatchRunner(
             jobs, shards=3, max_workers=1, shard_dir=shard_dir
         ).run()
-        assert first.batch.ok
+        assert first.ok
         plan = load_shard_plan(shard_dir)
         assert plan["jobs"] == 6
         assert plan["shards"] == 3
-        resumed = WorkStealingCoordinator(
+        resumed = BatchRunner(
             jobs, shards=3, max_workers=1, shard_dir=shard_dir,
             resume=True,
         ).run()
-        assert resumed.batch.ok
-        assert resumed.batch.resumed == 6
-        assert [r.status for r in resumed.batch.results] == [
-            r.status for r in first.batch.results
+        assert resumed.ok
+        assert resumed.resumed == 6
+        assert [r.status for r in resumed.results] == [
+            r.status for r in first.results
         ]
 
     def test_multi_host_handoff_and_merge(self, tmp_path):
@@ -133,9 +152,33 @@ class TestShardDirProtocol:
         }
         assert len(merged_names) == 6
 
+    def test_sharded_resume_restores_a_handed_off_shard(self, tmp_path):
+        # a shard run elsewhere writes exactly what the sharded run
+        # would have written for that shard, so the run resumes from it
+        shard_dir = str(tmp_path / "compose")
+        jobs = suite_jobs()
+        write_shard_plan(jobs, shard_dir, shards=2)
+        assert run_shard(shard_dir, 0, max_workers=1).ok
+        resumed = BatchRunner(
+            jobs, shards=2, max_workers=1, shard_dir=shard_dir, resume=True
+        ).run()
+        assert resumed.ok
+        assert resumed.resumed == 3
+        assert [s.resumed for s in resumed.shard_stats] == [3, 0]
+        assert merge_shards(shard_dir)["merged"] == 6
+
+    def test_shard_count_must_match_the_plan(self, tmp_path):
+        # merge reads the plan's shard count: a run laid out otherwise
+        # would strand its extra shards
+        shard_dir = str(tmp_path / "plan")
+        jobs = suite_jobs(4)
+        BatchRunner(jobs, shards=2, max_workers=1, shard_dir=shard_dir).run()
+        with pytest.raises(ValueError, match="2-shard plan"):
+            BatchRunner(jobs, shards=3, max_workers=1, shard_dir=shard_dir)
+
     def test_merge_reports_tampered_certificate(self, tmp_path):
         shard_dir = str(tmp_path / "tamper")
-        WorkStealingCoordinator(
+        BatchRunner(
             suite_jobs(3), shards=2, max_workers=1, shard_dir=shard_dir
         ).run()
         victim = None
@@ -157,7 +200,7 @@ class TestShardDirProtocol:
 
     def test_shard_journals_in_batch_format(self, tmp_path):
         shard_dir = str(tmp_path / "journal")
-        WorkStealingCoordinator(
+        BatchRunner(
             suite_jobs(3), shards=2, max_workers=1, shard_dir=shard_dir
         ).run()
         records = 0

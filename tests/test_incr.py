@@ -279,12 +279,15 @@ class TestStoreLineage:
 
 
 class TestServeNearHit:
-    def test_lineage_near_hit_warm_starts(self):
+    # process workers warm-start from the parent the daemon resolved,
+    # exactly as the in-thread path does
+    @pytest.mark.parametrize("worker_mode", ["thread", "process"])
+    def test_lineage_near_hit_warm_starts(self, worker_mode):
         from repro.serve.service import CertificationService, ServeConfig
 
         async def scenario():
             service = CertificationService(
-                ServeConfig(specs=("cmp",), workers=1)
+                ServeConfig(specs=("cmp",), workers=1, worker_mode=worker_mode)
             )
             await service.start()
             base = generate_client(2)

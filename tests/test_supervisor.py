@@ -5,18 +5,13 @@ import multiprocessing
 import os
 import signal
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
+from repro.runtime.executor import PoisonedRequest, WorkerSupervisor
 from repro.serve.http import ServeDaemon
 from repro.serve.service import CertificationService, ServeConfig
-from repro.serve.supervisor import (
-    POISON_THRESHOLD,
-    PoisonedRequest,
-    StoreCircuitBreaker,
-    WorkerSupervisor,
-)
+from repro.serve.supervisor import POISON_THRESHOLD, StoreCircuitBreaker
 from repro.suite import by_name
 
 FIG3 = by_name("fig3").source
@@ -42,10 +37,10 @@ async def started(service):
     return service
 
 
-def fork_pool(workers: int = 1):
-    context = multiprocessing.get_context("fork")
-    return lambda: ProcessPoolExecutor(
-        max_workers=workers, mp_context=context
+def serve_supervisor(**overrides) -> WorkerSupervisor:
+    """One worker under serve's crash limit, rebuilt without backoff."""
+    return WorkerSupervisor(
+        1, crash_limit=POISON_THRESHOLD, backoff_base=0.0, **overrides
     )
 
 
@@ -90,10 +85,10 @@ class TestWorkerSupervisor:
     def test_crash_restart_retry_once(self, tmp_path):
         token = str(tmp_path / "token")
         open(token, "w").close()
-        supervisor = WorkerSupervisor(fork_pool(), backoff_base=0.0)
+        supervisor = serve_supervisor()
         try:
             result = supervisor.submit(
-                _die_if_token, token, 42, request_key="req-1"
+                _die_if_token, token, 42, key="req-1"
             )
         finally:
             supervisor.shutdown()
@@ -106,17 +101,17 @@ class TestWorkerSupervisor:
 
     @needs_fork
     def test_poison_after_two_kills_and_quarantine(self):
-        supervisor = WorkerSupervisor(fork_pool(), backoff_base=0.0)
+        supervisor = serve_supervisor()
         try:
             with pytest.raises(PoisonedRequest):
-                supervisor.submit(_die_always, request_key="killer")
+                supervisor.submit(_die_always, key="killer")
             crashes_after_first = supervisor.to_json()["worker_crashes"]
             # the quarantined key is refused instantly, no new pool use
             with pytest.raises(PoisonedRequest):
-                supervisor.submit(_die_always, request_key="killer")
+                supervisor.submit(_die_always, key="killer")
             # an innocent bystander still gets served
             assert (
-                supervisor.submit(_identity, 7, request_key="bystander")
+                supervisor.submit(_identity, 7, key="bystander")
                 == 7
             )
         finally:
@@ -129,10 +124,10 @@ class TestWorkerSupervisor:
 
     @needs_fork
     def test_healthy_worker_exception_propagates(self):
-        supervisor = WorkerSupervisor(fork_pool(), backoff_base=0.0)
+        supervisor = serve_supervisor()
         try:
             with pytest.raises(ValueError, match="worker is healthy"):
-                supervisor.submit(_boom, request_key="req-err")
+                supervisor.submit(_boom, key="req-err")
         finally:
             supervisor.shutdown()
         stats = supervisor.to_json()
@@ -141,12 +136,10 @@ class TestWorkerSupervisor:
 
     @needs_fork
     def test_heartbeat_kills_stuck_worker(self):
-        supervisor = WorkerSupervisor(
-            fork_pool(), heartbeat=0.4, backoff_base=0.0
-        )
+        supervisor = serve_supervisor(heartbeat=0.4)
         try:
             with pytest.raises(PoisonedRequest):
-                supervisor.submit(_sleep_forever, request_key="stuck")
+                supervisor.submit(_sleep_forever, key="stuck")
         finally:
             supervisor.shutdown()
         stats = supervisor.to_json()
