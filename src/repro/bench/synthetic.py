@@ -39,18 +39,21 @@ def make_client(
     seed: int = 7,
     loop_every: int = 10,
     rng: Optional[random.Random] = None,
+    tag: str = "",
 ) -> str:
     """A single-method SCMP client with the requested size.
 
     Randomness comes from ``rng`` when supplied (so callers embedding
     this generator in a larger seeded process control the stream);
     otherwise a fresh ``random.Random(seed)`` keeps the output
-    deterministic per ``seed`` exactly as before.
+    deterministic per ``seed`` exactly as before.  ``tag`` is appended
+    to every variable name, so clients built with different tags have
+    disjoint variable (and hence predicate) universes.
     """
     rng = rng if rng is not None else random.Random(seed)
     lines: List[str] = ["class Main {", "  static void main() {"]
-    sets = [f"s{i}" for i in range(num_sets)]
-    iters = [f"i{i}" for i in range(num_iters)]
+    sets = [f"s{i}{tag}" for i in range(num_sets)]
+    iters = [f"i{i}{tag}" for i in range(num_iters)]
     for name in sets:
         lines.append(f"    Set {name} = new Set();")
     for name in iters:

@@ -1773,7 +1773,7 @@ def store_main(argv: Optional[List[str]] = None) -> int:
             file=sys.stderr,
         )
         return 2
-    # both stores share the gc contract (and summary-dict shape), so
+    # both stores run gc in one storage core (repro.store.core), so
     # the reporting below is kind-agnostic
     store_cls = SummaryStore if args.kind == "summaries" else CertificateStore
     store = store_cls(args.store)

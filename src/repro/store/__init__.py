@@ -1,4 +1,4 @@
-"""Content-addressed certificate store.
+"""Content-addressed stores: certificates and interprocedural summaries.
 
 The serving model (DCert / abstraction-carrying code): a heavyweight
 analyzer certifies a client *once*, and every later request for the same
@@ -12,19 +12,16 @@ whose exact instance misses can still find the latest certificate built
 under identical analysis inputs and warm-start from it
 (:mod:`repro.incr`).
 
-See :class:`CertificateStore`.
+The persistent summary database (:class:`SummaryStore`) reuses the
+same storage core (:mod:`repro.store.core`) with its own object suffix
+and a single index.  See :class:`CertificateStore`.
 """
 
-from repro.store.cas import (
-    CertificateStore,
-    StoreStats,
-    lineage_key,
-    request_key,
-)
+from repro.store.cas import CertificateStore, lineage_key, request_key
+from repro.store.core import StoreStats
 from repro.store.io import StoreIO, atomic_write_text
 from repro.store.summary import (
     SummaryStore,
-    SummaryStoreStats,
     summary_analysis_key,
     summary_context_key,
 )
@@ -36,7 +33,6 @@ __all__ = [
     "StoreIO",
     "StoreStats",
     "SummaryStore",
-    "SummaryStoreStats",
     "WriteAheadLog",
     "atomic_write_text",
     "lineage_key",

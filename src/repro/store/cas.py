@@ -4,45 +4,33 @@ Two address spaces, both SHA-256 hex:
 
 * **certificate hash** — the hash of the certificate's byte-stable text
   (:meth:`~repro.cert.ConformanceCertificate.text`).  Objects live under
-  ``objects/<h2>/<hash>.cert.json`` and are immutable: a stored file
-  whose recomputed hash no longer matches its name has been tampered
-  with and is treated (and counted) as corrupt, never returned.
+  ``objects/<h2>/<hash>.cert.json`` and are immutable.
 
 * **request key** — the hash of the canonical request instance
   ``{spec_hash, source_hash, fingerprint[, abstraction_hash]}`` (the
-  hashes PR 5's certificates already embed).  The index under
+  hashes the certificates already embed).  The index under
   ``index/<k2>/<key>`` maps a request key to the certificate hash that
   answered it, so a service can resolve "have we certified exactly this
-  before?" without touching analyzer state.
+  before?" without touching analyzer state.  The lineage index under
+  ``lineage/<k2>/<key>`` drops the source hash and maps to the latest
+  certificate built under the same analysis inputs.
 
-With ``root=None`` the store is purely in-memory (tests, ephemeral
-services).  On disk, writes go through a same-directory temp file +
-``fsync`` + ``os.replace`` (see :class:`~repro.store.io.StoreIO`) so
-concurrent readers never observe a half-written object, every
-multi-file mutation is journalled in a write-ahead log
-(:mod:`repro.store.wal`) replayed by :meth:`CertificateStore.recover`,
-and mutations take an advisory ``flock`` so concurrent daemons and
-batch workers can share one on-disk store without index corruption.
+:class:`CertificateStore` is a typed front end over
+:class:`~repro.store.core.ContentStore`, which owns the objects, the
+two pointer tables, the write-ahead journal, recovery, quarantine and
+LRU gc; the front end derives the keys and parses certificates.
 """
 
 from __future__ import annotations
 
 import os
-import threading
 import time
-from contextlib import contextmanager
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
-
-try:  # POSIX advisory locking; absent on some platforms
-    import fcntl
-except ImportError:  # pragma: no cover - non-POSIX fallback
-    fcntl = None  # type: ignore[assignment]
+from typing import Callable, Dict, Optional
 
 from repro.cert import model
 from repro.cert.model import ConformanceCertificate
+from repro.store.core import ContentStore
 from repro.store.io import StoreIO
-from repro.store.wal import RecoveryReport, WriteAheadLog
 
 
 def request_key(
@@ -116,37 +104,14 @@ def certificate_lineage_key(cert: ConformanceCertificate) -> str:
     )
 
 
-@dataclass
-class StoreStats:
-    """Counters for one store instance (monotone, thread-safe reads)."""
-
-    hits: int = 0
-    misses: int = 0
-    puts: int = 0
-    corrupt: int = 0
-    evictions: int = 0
-    lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
-
-    def to_json(self) -> Dict[str, object]:
-        total = self.hits + self.misses
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "puts": self.puts,
-            "corrupt": self.corrupt,
-            "evictions": self.evictions,
-            "hit_rate": round(self.hits / total, 4) if total else None,
-        }
-
-
-class CertificateStore:
+class CertificateStore(ContentStore):
     """Content-addressed storage of conformance certificates.
 
     ``root=None`` keeps everything in process memory; a path persists
-    objects and the request index under ``root`` (created on demand).
-    All methods are safe to call from multiple threads of one process;
-    the on-disk layout is additionally safe across processes because
-    objects are immutable and writes are atomic renames.
+    objects, the request index and the lineage index under ``root``
+    (created on demand).  The object/pointer/journal machinery is
+    :class:`~repro.store.core.ContentStore`'s; this front end derives
+    the keys and parses certificates.
     """
 
     def __init__(
@@ -156,83 +121,17 @@ class CertificateStore:
         io: Optional[StoreIO] = None,
         clock: Callable[[], float] = time.time,
     ) -> None:
-        self.root = root
-        self.io = io or StoreIO()
-        self.wal = WriteAheadLog(root, self.io) if root is not None else None
-        self._clock = clock
-        self.stats = StoreStats()
-        self._lock = threading.RLock()
-        # in-memory layer: always authoritative for root=None, a
-        # read-through cache of verified text when backed by disk
-        self._objects: Dict[str, str] = {}
-        self._index: Dict[str, str] = {}
-        # lineage layer: (spec, options, abstraction) -> latest object,
-        # repointed on every put so near-miss requests find a warm-start
-        # parent certified under identical analysis inputs
-        self._lineage: Dict[str, str] = {}
+        super().__init__(
+            root,
+            io=io,
+            clock=clock,
+            suffix=".cert.json",
+            tables=("index", "lineage"),
+        )
         # parsed-object cache: objects are immutable, so a payload parsed
         # once (or supplied to put()) serves every later hit without a
         # JSON decode on the hot path; callers must treat it read-only
         self._parsed: Dict[str, ConformanceCertificate] = {}
-        # LRU bookkeeping for gc(): last access per object hash.  On disk
-        # the file mtime is additionally bumped on every verified read so
-        # recency survives restarts and is shared across processes.
-        self._last_used: Dict[str, float] = {}
-
-    # -- paths ---------------------------------------------------------------
-
-    def _object_path(self, cert_hash: str) -> str:
-        assert self.root is not None
-        return os.path.join(
-            self.root, "objects", cert_hash[:2], f"{cert_hash}.cert.json"
-        )
-
-    def _index_path(self, key: str) -> str:
-        assert self.root is not None
-        return os.path.join(self.root, "index", key[:2], key)
-
-    def _lineage_path(self, key: str) -> str:
-        assert self.root is not None
-        return os.path.join(self.root, "lineage", key[:2], key)
-
-    def _quarantine_path(self, cert_hash: str) -> str:
-        assert self.root is not None
-        return os.path.join(
-            self.root, "quarantine", f"{cert_hash}.cert.json"
-        )
-
-    def _atomic_write(self, path: str, text: str) -> None:
-        self.io.atomic_write_text(path, text)
-
-    # -- cross-process exclusion ---------------------------------------------
-
-    @contextmanager
-    def _disk_lock(self) -> Iterator[None]:
-        """Advisory exclusive lock over the on-disk layout.
-
-        Serializes mutations (put / gc / recover) across *processes*
-        sharing one store root — pointer files are replace-atomic on
-        their own, but gc's read-prune-unlink and recovery's replay are
-        multi-file critical sections.  In-memory stores, and platforms
-        without ``fcntl``, degrade to the thread lock alone.
-        """
-        if self.root is None or fcntl is None:
-            yield
-            return
-        self.io.makedirs(self.root)
-        fd = os.open(
-            os.path.join(self.root, ".lock"), os.O_RDWR | os.O_CREAT, 0o644
-        )
-        try:
-            fcntl.flock(fd, fcntl.LOCK_EX)
-            yield
-        finally:
-            try:
-                fcntl.flock(fd, fcntl.LOCK_UN)
-            finally:
-                os.close(fd)
-
-    # -- writing -------------------------------------------------------------
 
     def put(
         self, cert: ConformanceCertificate, key: Optional[str] = None
@@ -240,270 +139,29 @@ class CertificateStore:
         """Store a certificate; returns its content hash.
 
         ``key`` is the request key to index it under (defaults to the
-        key derived from the certificate's own embedded hashes).
-        Re-putting identical content is idempotent; re-putting a
-        different certificate under the same key repoints the index
-        (e.g. after a tampered object was evicted and re-certified).
-
-        On disk the three writes (object, index pointer, lineage
-        pointer) are bracketed by a write-ahead journal transaction, so
-        a crash at any byte leaves a store :meth:`recover` restores to
-        a consistent state.  Disk errors propagate *before* the
-        in-memory layer is touched — a failed put changes nothing.
+        key derived from the certificate's own embedded hashes).  The
+        lineage index is repointed at it too, so near-miss requests find
+        a warm-start parent certified under identical analysis inputs.
+        Re-putting a different certificate under the same key repoints
+        the index (e.g. after a tampered object was evicted and
+        re-certified).
         """
-        text = cert.text()
-        cert_hash = model.sha256_text(text)
         key = key if key is not None else certificate_request_key(cert)
-        lineage = certificate_lineage_key(cert)
-        with self._lock:
-            if self.root is not None:
-                assert self.wal is not None
-                with self._disk_lock():
-                    txn = self.wal.begin(
-                        object_hash=cert_hash,
-                        object_bytes=len(text.encode("utf-8")),
-                        index_key=key,
-                        lineage_key=lineage,
-                    )
-                    object_path = self._object_path(cert_hash)
-                    if not self.io.exists(object_path):
-                        self._atomic_write(object_path, text)
-                    self._atomic_write(
-                        self._index_path(key), cert_hash + "\n"
-                    )
-                    self._atomic_write(
-                        self._lineage_path(lineage), cert_hash + "\n"
-                    )
-                    self.wal.commit(txn)
-            self._objects[cert_hash] = text
-            self._parsed[cert_hash] = cert
-            self._index[key] = cert_hash
-            self._lineage[lineage] = cert_hash
-            self._last_used[cert_hash] = self._clock()
-            self.stats.puts += 1
-        return cert_hash
-
-    # -- recovery ------------------------------------------------------------
-
-    def recover(self, *, verify_objects: bool = False) -> RecoveryReport:
-        """Restore on-disk consistency after a crash; returns a report.
-
-        Run at startup (daemons do this automatically).  The pass:
-
-        1. sweeps orphaned ``.tmp-*`` files (writes that died between
-           ``mkstemp`` and ``os.replace``);
-        2. replays the write-ahead journal: a begun-but-uncommitted
-           transaction whose object landed intact is *rolled forward*
-           (its pointers rewritten), anything else is *rolled back*
-           (torn objects quarantined, pointers at them dropped);
-        3. with ``verify_objects=True``, re-hashes **every** stored
-           object, quarantines mismatches, and drops every index or
-           lineage pointer that no longer resolves to an intact object.
-
-        In-memory caches are reset so nothing stale survives the
-        repair.  On an in-memory store this is a no-op.
-        """
-        report = RecoveryReport()
-        if self.root is None:
-            return report
-        assert self.wal is not None
-        with self._lock, self._disk_lock():
-            for orphan in list(self.io.iter_orphans(self.root)):
-                self.io.unlink(orphan)
-                report.orphans_swept += 1
-            pending = self.wal.pending()
-            report.scanned_txns = len(pending)
-            for record in pending:
-                cert_hash = str(record.get("object"))
-                object_path = self._object_path(cert_hash)
-                text = self.io.read_text(object_path)
-                if text is not None and model.sha256_text(text) == cert_hash:
-                    # object landed: the pointers are derivable from
-                    # the begin record — roll the txn forward
-                    for keyed, path_of in (
-                        (record.get("index"), self._index_path),
-                        (record.get("lineage"), self._lineage_path),
-                    ):
-                        if isinstance(keyed, str):
-                            self._atomic_write(
-                                path_of(keyed), cert_hash + "\n"
-                            )
-                    report.rolled_forward.append(cert_hash)
-                    continue
-                # object torn or missing: roll back
-                if text is not None:
-                    self._quarantine(cert_hash, report)
-                for keyed, path_of in (
-                    (record.get("index"), self._index_path),
-                    (record.get("lineage"), self._lineage_path),
-                ):
-                    if isinstance(keyed, str):
-                        pointer = self.io.read_text(path_of(keyed))
-                        if (
-                            pointer is not None
-                            and pointer.strip() == cert_hash
-                        ):
-                            self.io.unlink(path_of(keyed))
-                            report.pointers_dropped += 1
-                report.rolled_back.append(cert_hash)
-            if verify_objects:
-                self._verify_all(report)
-            self.wal.reset()
-            # nothing stale survives the repair
-            self._objects.clear()
-            self._index.clear()
-            self._lineage.clear()
-            self._parsed.clear()
-        return report
-
-    def flush(self) -> None:
-        """Compact the journal before a planned shutdown.
-
-        Every put fsyncs before returning, so there is no buffered data
-        to lose — flushing just drops committed journal records so the
-        next startup's recovery scan is O(pending), not O(history).
-        """
-        if self.root is None:
-            return
-        assert self.wal is not None
-        with self._lock, self._disk_lock():
-            self.wal.checkpoint()
-
-    def _quarantine(self, cert_hash: str, report: RecoveryReport) -> None:
-        """Move a torn/tampered object aside (evidence, not garbage)."""
-        source = self._object_path(cert_hash)
-        target = self._quarantine_path(cert_hash)
-        try:
-            self.io.replace(source, target)
-        except OSError:
-            self.io.unlink(source)
-        with self._lock:
-            self.stats.corrupt += 1
-        report.quarantined.append(
-            os.path.join("quarantine", os.path.basename(target))
+        cert_hash = self._put(
+            cert.text(),
+            {"index": key, "lineage": certificate_lineage_key(cert)},
         )
-
-    def _verify_all(self, report: RecoveryReport) -> None:
-        """Deep scan: re-hash every object, drop dangling pointers."""
-        assert self.root is not None
-        intact: set = set()
-        objects_dir = os.path.join(self.root, "objects")
-        for directory, name in list(self.io.iter_files(objects_dir)):
-            if not name.endswith(".cert.json"):
-                continue
-            cert_hash = name[: -len(".cert.json")]
-            text = self.io.read_text(os.path.join(directory, name))
-            report.objects_verified += 1
-            if text is not None and model.sha256_text(text) == cert_hash:
-                intact.add(cert_hash)
-            else:
-                self._quarantine(cert_hash, report)
-        for subdir in ("index", "lineage"):
-            for directory, name in list(
-                self.io.iter_files(os.path.join(self.root, subdir))
-            ):
-                path = os.path.join(directory, name)
-                pointer = self.io.read_text(path)
-                target = pointer.strip() if pointer is not None else ""
-                if target not in intact:
-                    self.io.unlink(path)
-                    report.pointers_dropped += 1
-
-    # -- reading -------------------------------------------------------------
-
-    def _load_object(self, cert_hash: str) -> Optional[str]:
-        """Verified certificate text by content hash, or None."""
         with self._lock:
-            text = self._objects.get(cert_hash)
-        if text is None and self.root is not None:
-            try:
-                with open(
-                    self._object_path(cert_hash), "r", encoding="utf-8"
-                ) as handle:
-                    text = handle.read()
-            except OSError:
-                return None
-        if text is None:
-            return None
-        if model.sha256_text(text) != cert_hash:
-            # tampered or truncated object: quarantine, count, miss
-            with self._lock:
-                self._objects.pop(cert_hash, None)
-                self._parsed.pop(cert_hash, None)
-                self.stats.corrupt += 1
-                if self.root is not None:
-                    try:
-                        self.io.replace(
-                            self._object_path(cert_hash),
-                            self._quarantine_path(cert_hash),
-                        )
-                    except OSError:
-                        self.io.unlink(self._object_path(cert_hash))
-            return None
-        with self._lock:
-            self._objects.setdefault(cert_hash, text)
-        self._touch(cert_hash)
-        return text
-
-    def _touch(self, cert_hash: str) -> None:
-        """Record an access for the LRU eviction policy."""
-        now = self._clock()
-        with self._lock:
-            self._last_used[cert_hash] = now
-        if self.root is not None:
-            try:
-                os.utime(self._object_path(cert_hash), (now, now))
-            except OSError:
-                pass  # best effort; in-memory recency still applies
+            self._parsed[cert_hash] = cert
+        return cert_hash
 
     def resolve(self, key: str) -> Optional[str]:
         """The certificate hash indexed under a request key, or None."""
-        with self._lock:
-            cert_hash = self._index.get(key)
-        if cert_hash is None and self.root is not None:
-            try:
-                with open(self._index_path(key), "r", encoding="utf-8") as handle:
-                    cert_hash = handle.read().strip() or None
-            except OSError:
-                return None
-            if cert_hash is not None:
-                with self._lock:
-                    self._index.setdefault(key, cert_hash)
-        return cert_hash
+        return self._resolve("index", key)
 
     def resolve_lineage(self, key: str) -> Optional[str]:
         """The latest certificate hash in a lineage, or None."""
-        with self._lock:
-            cert_hash = self._lineage.get(key)
-        if cert_hash is None and self.root is not None:
-            try:
-                with open(
-                    self._lineage_path(key), "r", encoding="utf-8"
-                ) as handle:
-                    cert_hash = handle.read().strip() or None
-            except OSError:
-                return None
-            if cert_hash is not None:
-                with self._lock:
-                    self._lineage.setdefault(key, cert_hash)
-        return cert_hash
-
-    def get_lineage(self, key: str) -> Optional[ConformanceCertificate]:
-        """The latest certificate in a lineage (integrity-verified), or
-        None.  A dangling or corrupt latest object drops the lineage
-        entry — a fresh full certification will repoint it."""
-        cert_hash = self.resolve_lineage(key)
-        if cert_hash is None:
-            return None
-        text = self._load_object(cert_hash)
-        if text is None:
-            with self._lock:
-                if self._lineage.get(key) == cert_hash:
-                    self._lineage.pop(key, None)
-            if self.root is not None:
-                self.io.unlink(self._lineage_path(key))
-            return None
-        return self._parse(cert_hash, text)
+        return self._resolve("lineage", key)
 
     def get(self, key: str) -> Optional[ConformanceCertificate]:
         """Look up a request key; integrity-verified hit or None.
@@ -513,28 +171,21 @@ class CertificateStore:
         else — unknown key, missing object, tampered object — is a miss
         (tampering additionally bumps ``stats.corrupt``).
         """
-        cert_hash = self.resolve(key)
-        text = self._load_object(cert_hash) if cert_hash is not None else None
-        if text is None:
-            with self._lock:
-                self.stats.misses += 1
-                if cert_hash is not None:
-                    # dangling or corrupt: drop the index entry so the
-                    # re-certified replacement can repoint it
-                    self._index.pop(key, None)
-                    if self.root is not None:
-                        self.io.unlink(self._index_path(key))
-            return None
-        with self._lock:
-            self.stats.hits += 1
-        return self._parse(cert_hash, text)
+        found = self._fetch("index", key)
+        self._count(found is not None)
+        return self._parse(*found) if found is not None else None
+
+    def get_lineage(self, key: str) -> Optional[ConformanceCertificate]:
+        """The latest certificate in a lineage (integrity-verified), or
+        None.  A dangling or corrupt latest object drops the lineage
+        entry — a fresh full certification will repoint it."""
+        found = self._fetch("lineage", key)
+        return self._parse(*found) if found is not None else None
 
     def get_by_hash(self, cert_hash: str) -> Optional[ConformanceCertificate]:
         """Fetch a certificate by content hash (integrity-verified)."""
         text = self._load_object(cert_hash)
-        if text is None:
-            return None
-        return self._parse(cert_hash, text)
+        return self._parse(cert_hash, text) if text is not None else None
 
     def _parse(self, cert_hash: str, text: str) -> ConformanceCertificate:
         """Parsed certificate for already-verified text (cached: the
@@ -547,177 +198,23 @@ class CertificateStore:
                 self._parsed.setdefault(cert_hash, cert)
         return cert
 
+    def _forget(self, object_hash: Optional[str] = None) -> None:
+        super()._forget(object_hash)
+        if object_hash is None:
+            self._parsed.clear()
+        else:
+            self._parsed.pop(object_hash, None)
+
     def object_size(self, cert_hash: str) -> Optional[int]:
         """Byte length of a stored object's text, without parsing it."""
         with self._lock:
             text = self._objects.get(cert_hash)
         if text is None and self.root is not None:
             try:
-                return os.path.getsize(self._object_path(cert_hash))
+                return os.path.getsize(self.object_path(cert_hash))
             except OSError:
                 return None
         return len(text) if text is not None else None
-
-    # -- eviction ------------------------------------------------------------
-
-    def _object_entries(self) -> List[Tuple[str, int, float]]:
-        """Every stored object as ``(hash, bytes, last_used)``.
-
-        Recency is the max of the in-memory access record and (on disk)
-        the object file's mtime, so a cold-started store still orders
-        objects by their cross-process access history.
-        """
-        with self._lock:
-            last_used = dict(self._last_used)
-            memory = {h: len(text) for h, text in self._objects.items()}
-        if self.root is None:
-            return [
-                (h, size, last_used.get(h, 0.0))
-                for h, size in memory.items()
-            ]
-        entries: Dict[str, Tuple[int, float]] = {}
-        objects_dir = os.path.join(self.root, "objects")
-        for directory, _subdirs, files in os.walk(objects_dir):
-            for name in files:
-                if not name.endswith(".cert.json"):
-                    continue
-                cert_hash = name[: -len(".cert.json")]
-                try:
-                    st = os.stat(os.path.join(directory, name))
-                except OSError:
-                    continue
-                entries[cert_hash] = (
-                    st.st_size,
-                    max(st.st_mtime, last_used.get(cert_hash, 0.0)),
-                )
-        for h, size in memory.items():  # put() raced the walk, or no file
-            entries.setdefault(h, (size, last_used.get(h, 0.0)))
-        return [(h, size, used) for h, (size, used) in entries.items()]
-
-    def _evict_object(self, cert_hash: str) -> None:
-        with self._lock:
-            self._objects.pop(cert_hash, None)
-            self._parsed.pop(cert_hash, None)
-            self._last_used.pop(cert_hash, None)
-            self.stats.evictions += 1
-        if self.root is not None:
-            self.io.unlink(self._object_path(cert_hash))
-
-    def _prune_index(self, surviving: set) -> int:
-        """Drop index entries pointing at objects that no longer exist
-        (evicted now, or dangling from earlier corruption evictions)."""
-        removed = 0
-        with self._lock:
-            for table in (self._index, self._lineage):
-                stale = [
-                    key
-                    for key, cert_hash in table.items()
-                    if cert_hash not in surviving
-                ]
-                for key in stale:
-                    del table[key]
-                removed += len(stale)
-        if self.root is not None:
-            for subdir in ("index", "lineage"):
-                for directory, _subdirs, files in os.walk(
-                    os.path.join(self.root, subdir)
-                ):
-                    for name in files:
-                        path = os.path.join(directory, name)
-                        try:
-                            with open(
-                                path, "r", encoding="utf-8"
-                            ) as handle:
-                                cert_hash = handle.read().strip()
-                        except OSError:
-                            continue
-                        if cert_hash in surviving:
-                            continue
-                        self.io.unlink(path)
-                        removed += 1
-        return removed
-
-    def gc(
-        self,
-        *,
-        max_bytes: Optional[int] = None,
-        max_entries: Optional[int] = None,
-    ) -> Dict[str, object]:
-        """Evict least-recently-used objects until the store fits.
-
-        Both limits are optional and enforced together: after gc the
-        store holds at most ``max_entries`` objects totalling at most
-        ``max_bytes``.  Index entries for evicted (or already-dangling)
-        objects are pruned so later lookups miss cleanly instead of
-        resolving to a missing object.  Returns a summary dict.
-
-        The whole sweep runs under the cross-process advisory lock —
-        gc racing a concurrent put must not prune the pointer the put
-        just journalled.
-        """
-        with self._disk_lock():
-            return self._gc_locked(
-                max_bytes=max_bytes, max_entries=max_entries
-            )
-
-    def _gc_locked(
-        self,
-        *,
-        max_bytes: Optional[int] = None,
-        max_entries: Optional[int] = None,
-    ) -> Dict[str, object]:
-        entries = self._object_entries()
-        bytes_before = sum(size for _h, size, _u in entries)
-        objects_before = len(entries)
-        # oldest first; hash tiebreak keeps eviction order deterministic
-        entries.sort(key=lambda entry: (entry[2], entry[0]))
-        keep_bytes = bytes_before
-        keep_count = objects_before
-        evicted: List[str] = []
-        for cert_hash, size, _used in entries:
-            over_entries = (
-                max_entries is not None and keep_count > max_entries
-            )
-            over_bytes = max_bytes is not None and keep_bytes > max_bytes
-            if not (over_entries or over_bytes):
-                break
-            evicted.append(cert_hash)
-            keep_count -= 1
-            keep_bytes -= size
-        for cert_hash in evicted:
-            self._evict_object(cert_hash)
-        surviving = {
-            h for h, _size, _used in entries if h not in set(evicted)
-        }
-        index_pruned = self._prune_index(surviving)
-        return {
-            "objects_before": objects_before,
-            "objects_after": keep_count,
-            "bytes_before": bytes_before,
-            "bytes_after": keep_bytes,
-            "evicted": len(evicted),
-            "index_pruned": index_pruned,
-            "max_bytes": max_bytes,
-            "max_entries": max_entries,
-        }
-
-    # -- introspection -------------------------------------------------------
-
-    def __len__(self) -> int:
-        if self.root is None:
-            return len(self._objects)
-        count = 0
-        objects_dir = os.path.join(self.root, "objects")
-        for _dir, _subdirs, files in os.walk(objects_dir):
-            count += sum(1 for f in files if f.endswith(".cert.json"))
-        return count
-
-    def to_json(self) -> Dict[str, object]:
-        return {
-            "root": self.root,
-            "objects": len(self),
-            **self.stats.to_json(),
-        }
 
 
 def _loads(text: str) -> Dict[str, object]:

@@ -1,8 +1,10 @@
 """The on-disk store's filesystem side effects, behind one object.
 
-Every byte the :class:`~repro.store.cas.CertificateStore` puts on disk —
-objects, index pointers, lineage pointers, write-ahead journal records —
-flows through a :class:`StoreIO` instance.  Two reasons:
+Every byte the stores (:class:`~repro.store.core.ContentStore` and its
+two front ends) put on disk — objects, index pointers, lineage
+pointers, write-ahead journal records — and every read and directory
+walk they make flows through a :class:`StoreIO` instance.  Two
+reasons:
 
 * **durability is a policy, not an accident.**  ``atomic_write_text``
   is the single place that implements same-directory-tempfile +
@@ -28,7 +30,7 @@ from typing import Iterator, Optional, Tuple
 
 
 class StoreIO:
-    """Filesystem primitives used by the certificate store.
+    """Filesystem primitives used by the content-addressed stores.
 
     Subclass and override :meth:`_write` (bytes going into any file)
     and/or :meth:`_pre_op` (called with the operation name before each

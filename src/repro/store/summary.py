@@ -19,12 +19,14 @@ them safe to share across batch jobs and serve tenants that link the
 same library code.  The consumer never *trusts* a stored summary: the
 certifier replays one linear validity pass over it (the certificate
 checker's no-fixpoint discipline) and discards anything that is not
-inductive.  The store's own integrity layer below is therefore a
-performance feature, not a soundness one — but a torn object must still
-never be *served*, so writes are WAL-bracketed exactly like the
-certificate store's.
+inductive.  The store's own integrity layer is therefore a performance
+feature, not a soundness one — but a torn object must still never be
+*served*.
 
-Layout under ``root``::
+:class:`SummaryStore` is a typed front end over the storage core the
+certificate store uses too (:class:`~repro.store.core.ContentStore`):
+the same WAL-bracketed writes, recovery, quarantine and LRU gc, with
+its own layout under ``root``::
 
     objects/<h2>/<hash>.summary.json   immutable payloads (content-addressed)
     index/<k2>/<key>                   context key -> object hash
@@ -37,27 +39,16 @@ See :class:`SummaryStore`.
 from __future__ import annotations
 
 import json
-import os
-import threading
 import time
-from contextlib import contextmanager
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Optional
 
 from repro.cert import model
+from repro.store.core import ContentStore
 from repro.store.io import StoreIO
-from repro.store.wal import RecoveryReport, WriteAheadLog
-
-try:  # pragma: no cover - platform probe
-    import fcntl
-except ImportError:  # pragma: no cover - non-POSIX
-    fcntl = None  # type: ignore[assignment]
 
 #: bumped whenever the payload schema or the validation discipline
 #: changes — stale formats must miss, never half-parse
 SUMMARY_FORMAT = 1
-
-_SUFFIX = ".summary.json"
 
 
 def summary_analysis_key(
@@ -100,38 +91,15 @@ def summary_context_key(
     )
 
 
-@dataclass
-class SummaryStoreStats:
-    """Counters for one store instance (monotone)."""
-
-    hits: int = 0
-    misses: int = 0
-    puts: int = 0
-    corrupt: int = 0
-    evictions: int = 0
-    lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
-
-    def to_json(self) -> Dict[str, object]:
-        total = self.hits + self.misses
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "puts": self.puts,
-            "corrupt": self.corrupt,
-            "evictions": self.evictions,
-            "hit_rate": round(self.hits / total, 4) if total else None,
-        }
-
-
-class SummaryStore:
+class SummaryStore(ContentStore):
     """Content-addressed storage of interprocedural context summaries.
 
-    Mirrors :class:`repro.store.cas.CertificateStore` — immutable
-    objects named by their content hash, replace-atomic pointer files,
-    a shared write-ahead journal, and an advisory disk lock for the
-    multi-file critical sections — but holds plain JSON payloads (one
-    per tabulation context) instead of certificates, and has no lineage
-    layer: a summary either matches its exact context key or is useless.
+    A typed front end over :class:`~repro.store.core.ContentStore` —
+    the same objects, pointer files, journal, recovery and gc as the
+    certificate store — holding canonical JSON payloads (one per
+    tabulation context) under ``.summary.json`` objects, with only the
+    ``index`` table: a summary either matches its exact context key or
+    is useless, so there is no lineage layer.
     """
 
     def __init__(
@@ -141,92 +109,17 @@ class SummaryStore:
         io: Optional[StoreIO] = None,
         clock: Callable[[], float] = time.time,
     ) -> None:
-        self.root = root
-        self.io = io or StoreIO()
-        self.wal = WriteAheadLog(root, self.io) if root is not None else None
-        self._clock = clock
-        self.stats = SummaryStoreStats()
-        self._lock = threading.RLock()
-        # in-memory layer: authoritative for root=None, a read-through
-        # cache of verified text otherwise
-        self._objects: Dict[str, str] = {}
-        self._index: Dict[str, str] = {}
-        self._last_used: Dict[str, float] = {}
-
-    # -- paths ---------------------------------------------------------------
-
-    def _object_path(self, object_hash: str) -> str:
-        assert self.root is not None
-        return os.path.join(
-            self.root, "objects", object_hash[:2], object_hash + _SUFFIX
+        super().__init__(
+            root, io=io, clock=clock, suffix=".summary.json", tables=("index",)
         )
-
-    def _index_path(self, key: str) -> str:
-        assert self.root is not None
-        return os.path.join(self.root, "index", key[:2], key)
-
-    def _quarantine_path(self, object_hash: str) -> str:
-        assert self.root is not None
-        return os.path.join(self.root, "quarantine", object_hash + _SUFFIX)
-
-    # -- cross-process exclusion ---------------------------------------------
-
-    @contextmanager
-    def _disk_lock(self) -> Iterator[None]:
-        """Advisory exclusive lock over the on-disk layout (see
-        ``CertificateStore._disk_lock`` for the rationale)."""
-        if self.root is None or fcntl is None:
-            yield
-            return
-        self.io.makedirs(self.root)
-        fd = os.open(
-            os.path.join(self.root, ".lock"), os.O_RDWR | os.O_CREAT, 0o644
-        )
-        try:
-            fcntl.flock(fd, fcntl.LOCK_EX)
-            yield
-        finally:
-            try:
-                fcntl.flock(fd, fcntl.LOCK_UN)
-            finally:
-                os.close(fd)
-
-    # -- writing -------------------------------------------------------------
 
     def put(self, key: str, payload: Dict[str, object]) -> str:
         """Store one context summary under ``key``; returns its hash.
 
         Idempotent for identical content; re-putting different content
-        under the same key repoints the index.  On disk the object and
-        pointer writes are bracketed by a journal transaction so a crash
-        at any byte leaves a state :meth:`recover` can repair.
+        under the same key repoints the index.
         """
-        text = model.canonical_text(payload)
-        object_hash = model.sha256_text(text)
-        with self._lock:
-            if self.root is not None:
-                assert self.wal is not None
-                with self._disk_lock():
-                    txn = self.wal.begin(
-                        object_hash=object_hash,
-                        object_bytes=len(text.encode("utf-8")),
-                        index_key=key,
-                        lineage_key=None,
-                    )
-                    object_path = self._object_path(object_hash)
-                    if not self.io.exists(object_path):
-                        self.io.atomic_write_text(object_path, text)
-                    self.io.atomic_write_text(
-                        self._index_path(key), object_hash + "\n"
-                    )
-                    self.wal.commit(txn)
-            self._objects[object_hash] = text
-            self._index[key] = object_hash
-            self._last_used[object_hash] = self._clock()
-            self.stats.puts += 1
-        return object_hash
-
-    # -- reading -------------------------------------------------------------
+        return self._put(model.canonical_text(payload), {"index": key})
 
     def get(self, key: str) -> Optional[Dict[str, object]]:
         """Integrity-verified summary payload for ``key``, or None.
@@ -235,304 +128,14 @@ class SummaryStore:
         tampered object is additionally quarantined and its pointer
         dropped so the re-certified replacement can repoint it.
         """
-        object_hash = self._resolve(key)
-        text = (
-            self._load_object(object_hash)
-            if object_hash is not None
-            else None
-        )
-        if text is None:
-            with self._lock:
-                self.stats.misses += 1
-                if object_hash is not None:
-                    self._index.pop(key, None)
-                    if self.root is not None:
-                        self.io.unlink(self._index_path(key))
-            return None
-        try:
-            payload = json.loads(text)
-        except json.JSONDecodeError:
-            payload = None
+        found = self._fetch("index", key)
+        payload = None
+        if found is not None:
+            try:
+                payload = json.loads(found[1])
+            except json.JSONDecodeError:
+                pass
         if not isinstance(payload, dict):
-            with self._lock:
-                self.stats.misses += 1
-            return None
-        with self._lock:
-            self.stats.hits += 1
+            payload = None
+        self._count(payload is not None)
         return payload
-
-    def _resolve(self, key: str) -> Optional[str]:
-        with self._lock:
-            object_hash = self._index.get(key)
-        if object_hash is None and self.root is not None:
-            try:
-                with open(
-                    self._index_path(key), "r", encoding="utf-8"
-                ) as handle:
-                    object_hash = handle.read().strip() or None
-            except OSError:
-                return None
-            if object_hash is not None:
-                with self._lock:
-                    self._index.setdefault(key, object_hash)
-        return object_hash
-
-    def _load_object(self, object_hash: str) -> Optional[str]:
-        with self._lock:
-            text = self._objects.get(object_hash)
-        if text is None and self.root is not None:
-            try:
-                with open(
-                    self._object_path(object_hash), "r", encoding="utf-8"
-                ) as handle:
-                    text = handle.read()
-            except OSError:
-                return None
-        if text is None:
-            return None
-        if model.sha256_text(text) != object_hash:
-            with self._lock:
-                self._objects.pop(object_hash, None)
-                self.stats.corrupt += 1
-                if self.root is not None:
-                    try:
-                        self.io.replace(
-                            self._object_path(object_hash),
-                            self._quarantine_path(object_hash),
-                        )
-                    except OSError:
-                        self.io.unlink(self._object_path(object_hash))
-            return None
-        with self._lock:
-            self._objects.setdefault(object_hash, text)
-        self._touch(object_hash)
-        return text
-
-    def _touch(self, object_hash: str) -> None:
-        now = self._clock()
-        with self._lock:
-            self._last_used[object_hash] = now
-        if self.root is not None:
-            try:
-                os.utime(self._object_path(object_hash), (now, now))
-            except OSError:
-                pass  # best effort; in-memory recency still applies
-
-    # -- recovery ------------------------------------------------------------
-
-    def recover(self, *, verify_objects: bool = False) -> RecoveryReport:
-        """Restore on-disk consistency after a crash (same pass as the
-        certificate store's: orphan sweep, journal replay with roll
-        forward/back, optional deep re-hash)."""
-        report = RecoveryReport()
-        if self.root is None:
-            return report
-        assert self.wal is not None
-        with self._lock, self._disk_lock():
-            for orphan in list(self.io.iter_orphans(self.root)):
-                self.io.unlink(orphan)
-                report.orphans_swept += 1
-            pending = self.wal.pending()
-            report.scanned_txns = len(pending)
-            for record in pending:
-                object_hash = str(record.get("object"))
-                text = self.io.read_text(self._object_path(object_hash))
-                keyed = record.get("index")
-                if (
-                    text is not None
-                    and model.sha256_text(text) == object_hash
-                ):
-                    if isinstance(keyed, str):
-                        self.io.atomic_write_text(
-                            self._index_path(keyed), object_hash + "\n"
-                        )
-                    report.rolled_forward.append(object_hash)
-                    continue
-                if text is not None:
-                    self._quarantine(object_hash, report)
-                if isinstance(keyed, str):
-                    pointer = self.io.read_text(self._index_path(keyed))
-                    if (
-                        pointer is not None
-                        and pointer.strip() == object_hash
-                    ):
-                        self.io.unlink(self._index_path(keyed))
-                        report.pointers_dropped += 1
-                report.rolled_back.append(object_hash)
-            if verify_objects:
-                self._verify_all(report)
-            self.wal.reset()
-            self._objects.clear()
-            self._index.clear()
-        return report
-
-    def flush(self) -> None:
-        """Compact the journal before a planned shutdown."""
-        if self.root is None:
-            return
-        assert self.wal is not None
-        with self._lock, self._disk_lock():
-            self.wal.checkpoint()
-
-    def _quarantine(self, object_hash: str, report: RecoveryReport) -> None:
-        source = self._object_path(object_hash)
-        target = self._quarantine_path(object_hash)
-        try:
-            self.io.replace(source, target)
-        except OSError:
-            self.io.unlink(source)
-        with self._lock:
-            self.stats.corrupt += 1
-        report.quarantined.append(
-            os.path.join("quarantine", os.path.basename(target))
-        )
-
-    def _verify_all(self, report: RecoveryReport) -> None:
-        assert self.root is not None
-        intact: set = set()
-        objects_dir = os.path.join(self.root, "objects")
-        for directory, name in list(self.io.iter_files(objects_dir)):
-            if not name.endswith(_SUFFIX):
-                continue
-            object_hash = name[: -len(_SUFFIX)]
-            text = self.io.read_text(os.path.join(directory, name))
-            report.objects_verified += 1
-            if text is not None and model.sha256_text(text) == object_hash:
-                intact.add(object_hash)
-            else:
-                self._quarantine(object_hash, report)
-        for directory, name in list(
-            self.io.iter_files(os.path.join(self.root, "index"))
-        ):
-            path = os.path.join(directory, name)
-            pointer = self.io.read_text(path)
-            target = pointer.strip() if pointer is not None else ""
-            if target not in intact:
-                self.io.unlink(path)
-                report.pointers_dropped += 1
-
-    # -- eviction ------------------------------------------------------------
-
-    def _object_entries(self) -> List[Tuple[str, int, float]]:
-        with self._lock:
-            last_used = dict(self._last_used)
-            memory = {h: len(text) for h, text in self._objects.items()}
-        if self.root is None:
-            return [
-                (h, size, last_used.get(h, 0.0))
-                for h, size in memory.items()
-            ]
-        entries: Dict[str, Tuple[int, float]] = {}
-        for directory, _subdirs, files in os.walk(
-            os.path.join(self.root, "objects")
-        ):
-            for name in files:
-                if not name.endswith(_SUFFIX):
-                    continue
-                object_hash = name[: -len(_SUFFIX)]
-                try:
-                    st = os.stat(os.path.join(directory, name))
-                except OSError:
-                    continue
-                entries[object_hash] = (
-                    st.st_size,
-                    max(st.st_mtime, last_used.get(object_hash, 0.0)),
-                )
-        for h, size in memory.items():
-            entries.setdefault(h, (size, last_used.get(h, 0.0)))
-        return [(h, size, used) for h, (size, used) in entries.items()]
-
-    def gc(
-        self,
-        *,
-        max_bytes: Optional[int] = None,
-        max_entries: Optional[int] = None,
-    ) -> Dict[str, object]:
-        """LRU-evict objects until the store fits both limits; prunes
-        index pointers at evicted objects.  Deterministic order (mtime
-        then hash), whole sweep under the cross-process lock."""
-        with self._disk_lock():
-            entries = self._object_entries()
-            bytes_before = sum(size for _h, size, _u in entries)
-            objects_before = len(entries)
-            entries.sort(key=lambda entry: (entry[2], entry[0]))
-            keep_bytes = bytes_before
-            keep_count = objects_before
-            evicted: List[str] = []
-            for object_hash, size, _used in entries:
-                over_entries = (
-                    max_entries is not None and keep_count > max_entries
-                )
-                over_bytes = (
-                    max_bytes is not None and keep_bytes > max_bytes
-                )
-                if not (over_entries or over_bytes):
-                    break
-                evicted.append(object_hash)
-                keep_count -= 1
-                keep_bytes -= size
-            evicted_set = set(evicted)
-            for object_hash in evicted:
-                with self._lock:
-                    self._objects.pop(object_hash, None)
-                    self._last_used.pop(object_hash, None)
-                    self.stats.evictions += 1
-                if self.root is not None:
-                    self.io.unlink(self._object_path(object_hash))
-            surviving = {
-                h for h, _size, _used in entries if h not in evicted_set
-            }
-            index_pruned = self._prune_index(surviving)
-            return {
-                "objects_before": objects_before,
-                "objects_after": keep_count,
-                "bytes_before": bytes_before,
-                "bytes_after": keep_bytes,
-                "evicted": len(evicted),
-                "index_pruned": index_pruned,
-                "max_bytes": max_bytes,
-                "max_entries": max_entries,
-            }
-
-    def _prune_index(self, surviving: set) -> int:
-        removed = 0
-        with self._lock:
-            stale = [
-                key
-                for key, object_hash in self._index.items()
-                if object_hash not in surviving
-            ]
-            for key in stale:
-                del self._index[key]
-            removed += len(stale)
-        if self.root is not None:
-            for directory, name in list(
-                self.io.iter_files(os.path.join(self.root, "index"))
-            ):
-                path = os.path.join(directory, name)
-                pointer = self.io.read_text(path)
-                target = pointer.strip() if pointer is not None else ""
-                if target in surviving:
-                    continue
-                self.io.unlink(path)
-                removed += 1
-        return removed
-
-    # -- introspection -------------------------------------------------------
-
-    def __len__(self) -> int:
-        if self.root is None:
-            return len(self._objects)
-        count = 0
-        for _dir, _subdirs, files in os.walk(
-            os.path.join(self.root, "objects")
-        ):
-            count += sum(1 for f in files if f.endswith(_SUFFIX))
-        return count
-
-    def to_json(self) -> Dict[str, object]:
-        return {
-            "root": self.root,
-            "objects": len(self),
-            **self.stats.to_json(),
-        }

@@ -1,8 +1,8 @@
 """Write-ahead journal + crash recovery for the on-disk store.
 
-A :meth:`~repro.store.cas.CertificateStore.put` touches up to three
-files — the immutable object, the request-index pointer, and the
-lineage pointer.  Each individual write is atomic
+A put (:meth:`~repro.store.core.ContentStore._put`) touches up to three
+files — the immutable object, the request-index pointer, and (in the
+certificate store) the lineage pointer.  Each individual write is atomic
 (:meth:`~repro.store.io.StoreIO.atomic_write_text`), but a crash
 *between* them leaves the store internally inconsistent: an index entry
 pointing at an object that never landed, or an object no pointer will

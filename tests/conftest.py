@@ -4,6 +4,7 @@ import pytest
 
 from repro.easl.library import aop_spec, cmp_spec, grp_spec, imp_spec
 from repro.derivation import derive
+from tests.store_kinds import KINDS
 
 
 @pytest.fixture(scope="session")
@@ -34,3 +35,9 @@ def cmp_abstraction(cmp_specification):
 @pytest.fixture(scope="session")
 def cmp_abstraction_id(cmp_specification):
     return derive(cmp_specification, identity_families=True)
+
+
+@pytest.fixture(params=KINDS, ids=lambda kind: kind.name)
+def store_kind(request):
+    """Each content-addressed store front end (see ``store_kinds``)."""
+    return request.param

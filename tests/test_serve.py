@@ -487,6 +487,39 @@ class TestHttpDaemon:
         assert run(scenario()) == 400
 
 
+class TestServeBench:
+    """``repro bench serve``'s phases answer on the paths they measure."""
+
+    @pytest.mark.parametrize("worker_mode", ["thread", "process"])
+    def test_cold_is_scratch_and_near_hits_are_incremental(
+        self, worker_mode
+    ):
+        from repro.serve.loadgen import (
+            ServeBenchConfig,
+            run_serve_bench,
+            serve_bench_ok,
+        )
+
+        results = run_serve_bench(
+            ServeBenchConfig(
+                clients=3,
+                num_ops=24,
+                hit_requests=6,
+                concurrency=3,
+                worker_mode=worker_mode,
+            )
+        )
+        # no cold client warm-starts from another's lineage parent
+        assert results["cold_paths_were_certify"]
+        assert results["cold_certify"]["count"] == 3
+        # each edit warm-starts from its own cold certificate and lands
+        # on exactly the bytes of a scratch certification
+        assert results["near_incremental"]["count"] == 3
+        assert results["near_paths_were_incremental"]
+        assert results["near_bytes_identical"]
+        assert serve_bench_ok(results, min_speedup=0.0)
+
+
 class TestJobPlumbing:
     def test_job_defaults(self):
         job = _Job(

@@ -10,6 +10,7 @@ from repro.cert.model import sha256_text
 from repro.store import CertificateStore
 from repro.store.cas import certificate_request_key, request_key
 from repro.suite import by_name
+from tests.store_kinds import KINDS
 
 
 @pytest.fixture(scope="module")
@@ -140,22 +141,27 @@ class TestOnDiskStore:
         assert os.path.exists(os.path.join(root, "index", key[:2], key))
 
     def test_tampered_file_is_rejected_and_unlinked(
-        self, tmp_path, fig3_certificate
+        self, tmp_path, store_kind, fig3_certificate
     ):
         root = str(tmp_path / "cas")
-        store = CertificateStore(root)
-        cert_hash = store.put(fig3_certificate)
-        key = certificate_request_key(fig3_certificate)
-        path = os.path.join(
-            root, "objects", cert_hash[:2], f"{cert_hash}.cert.json"
-        )
+        sample = store_kind.sample("tamper", certificate=fig3_certificate)
+        store = store_kind.store(root)
+        object_hash = sample.put(store)
+        path = store.object_path(object_hash)
         text = open(path, encoding="utf-8").read()
         with open(path, "w", encoding="utf-8") as handle:
-            handle.write(text.replace('"alarms"', '"alarmsX"', 1))
-        fresh = CertificateStore(root)
-        assert fresh.get(key) is None
-        assert fresh.stats.corrupt == 1
+            handle.write(text[1] + text[0] + text[2:])
+        fresh = store_kind.store(root)
+        assert store_kind.get_text(fresh, sample.key) is None
+        assert fresh.stats.corrupt == 1 and fresh.stats.misses == 1
         assert not os.path.exists(path)
+        quarantined = os.path.join(
+            root, "quarantine", object_hash + store_kind.suffix
+        )
+        with open(quarantined, encoding="utf-8") as handle:
+            assert handle.read() == text[1] + text[0] + text[2:]
+        # the dangling pointer went with it
+        assert not os.path.exists(store.pointer_path("index", sample.key))
 
     def test_object_size_reads_disk(self, tmp_path, fig3_certificate):
         root = str(tmp_path / "cas")
@@ -182,77 +188,94 @@ class TestGetByHash:
         assert cert.payload == fig3_certificate.payload
 
 
-def _synthetic_certificate(tag: str) -> ConformanceCertificate:
-    """A minimal distinct certificate; gc cares only about bytes/recency."""
-    return ConformanceCertificate(
-        payload={"format": "test", "tag": tag, "body": "x" * 64}
-    )
-
-
 class TestGc:
-    def _filled_store(self, root, count=5):
-        store = CertificateStore(root)
-        hashes = []
+    def _filled_store(self, store_kind, root, count=5, distinct=True):
+        """``count`` objects whose recency increases with their index
+        (or, with ``distinct=False``, is one shared instant)."""
+        now = [0.0]
+        store = store_kind.store(root, clock=lambda: now[0])
+        keys, hashes = [], []
         for index in range(count):
-            cert = _synthetic_certificate(f"cert-{index}")
-            cert_hash = store.put(cert, key=f"{index:02d}" + "k" * 62)
-            # give each object a distinct, increasing recency
-            store._last_used[cert_hash] = 1000.0 + index
+            now[0] = 1000.0 + index if distinct else 1000.0
+            sample = store_kind.sample(
+                f"cert-{index}", key=f"{index:02d}" + "k" * 62
+            )
+            object_hash = sample.put(store)
             if root is not None:
-                path = store._object_path(cert_hash)
-                os.utime(path, (1000.0 + index, 1000.0 + index))
-            hashes.append(cert_hash)
-        return store, hashes
+                path = store.object_path(object_hash)
+                os.utime(path, (now[0], now[0]))
+            keys.append(sample.key)
+            hashes.append(object_hash)
+        return store, keys, hashes
 
-    def test_max_entries_evicts_oldest_first(self, tmp_path):
-        store, hashes = self._filled_store(str(tmp_path / "cas"))
+    def test_max_entries_evicts_oldest_first(self, store_kind, tmp_path):
+        store, keys, _ = self._filled_store(store_kind, str(tmp_path / "cas"))
         summary = store.gc(max_entries=2)
         assert summary["evicted"] == 3
-        assert summary["objects_after"] == 2
-        for old in hashes[:3]:
-            assert store.get_by_hash(old) is None
-        for recent in hashes[3:]:
-            assert store.get_by_hash(recent) is not None
+        assert summary["objects_after"] == 2 and len(store) == 2
+        for old in keys[:3]:
+            assert store_kind.get_text(store, old) is None
+        for recent in keys[3:]:
+            assert store_kind.get_text(store, recent) is not None
 
-    def test_max_bytes_enforced(self, tmp_path):
-        store, hashes = self._filled_store(str(tmp_path / "cas"))
-        size = store.object_size(hashes[0])
+    def test_equal_recency_evicts_in_hash_order(self, store_kind, tmp_path):
+        store, keys, hashes = self._filled_store(
+            store_kind, str(tmp_path / "cas"), distinct=False
+        )
+        store.gc(max_entries=2)
+        kept = sorted(hashes)[3:]
+        for key, object_hash in zip(keys, hashes):
+            got = store_kind.get_text(store, key)
+            assert (got is not None) == (object_hash in kept)
+
+    def test_max_bytes_enforced(self, store_kind, tmp_path):
+        store, _, hashes = self._filled_store(
+            store_kind, str(tmp_path / "cas")
+        )
+        size = os.path.getsize(store.object_path(hashes[0]))
         summary = store.gc(max_bytes=2 * size)
         assert summary["bytes_after"] <= 2 * size
         assert summary["evicted"] == 3
 
-    def test_gc_prunes_index_of_evicted_objects(self, tmp_path):
-        store, hashes = self._filled_store(str(tmp_path / "cas"))
+    def test_gc_prunes_index_of_evicted_objects(self, store_kind, tmp_path):
+        store, keys, _ = self._filled_store(store_kind, str(tmp_path / "cas"))
         store.gc(max_entries=1)
         # a fresh store over the same root must miss cleanly
-        fresh = CertificateStore(store.root)
-        assert fresh.get("00" + "k" * 62) is None
-        assert fresh.get("04" + "k" * 62) is not None
+        fresh = store_kind.store(store.root)
+        assert store_kind.get_text(fresh, keys[0]) is None
+        assert store_kind.get_text(fresh, keys[4]) is not None
 
-    def test_gc_noop_under_limits(self, tmp_path):
-        store, hashes = self._filled_store(str(tmp_path / "cas"))
+    def test_gc_noop_under_limits(self, store_kind, tmp_path):
+        store, keys, _ = self._filled_store(store_kind, str(tmp_path / "cas"))
         summary = store.gc(max_entries=10, max_bytes=10**9)
         assert summary["evicted"] == 0
-        assert all(store.get_by_hash(h) is not None for h in hashes)
+        assert all(store_kind.get_text(store, k) is not None for k in keys)
 
-    def test_gc_in_memory_store(self):
-        store, hashes = self._filled_store(None)
+    def test_gc_in_memory_store(self, store_kind):
+        store, keys, _ = self._filled_store(store_kind, None)
         summary = store.gc(max_entries=2)
-        assert summary["evicted"] == 3
-        assert store.get_by_hash(hashes[-1]) is not None
+        assert summary["evicted"] == 3 and len(store) == 2
+        assert store_kind.get_text(store, keys[-1]) is not None
 
 
 class TestGcCli:
-    def test_store_gc_command(self, tmp_path, fig3_certificate):
+    @pytest.mark.parametrize(
+        "kind_name, flags",
+        [("certificate", []), ("summary", ["--kind", "summaries"])],
+        ids=["certificate", "summary"],
+    )
+    def test_store_gc_command(self, tmp_path, kind_name, flags):
         from repro.cli import main
 
+        kind = next(k for k in KINDS if k.name == kind_name)
         root = str(tmp_path / "cas")
-        store = CertificateStore(root)
+        store = kind.store(root)
         for index in range(3):
-            cert = _synthetic_certificate(f"cli-{index}")
-            store.put(cert, key=f"{index:02d}" + "c" * 62)
+            kind.sample(f"cli-{index}", key=f"{index:02d}" + "c" * 62).put(
+                store
+            )
         code = main(
-            ["store", "gc", "--store", root, "--max-entries", "1"]
+            ["store", "gc", "--store", root, "--max-entries", "1", *flags]
         )
         assert code == 0
-        assert len(CertificateStore(root)) == 1
+        assert len(kind.store(root)) == 1

@@ -32,54 +32,53 @@ def certificate(certificates):
     return certificates[0]
 
 
-def clean_store(root) -> CertificateStore:
-    return CertificateStore(str(root), io=StoreIO(fsync=False))
+def clean_store(root, kind=None):
+    store_cls = kind.store if kind is not None else CertificateStore
+    return store_cls(str(root), io=StoreIO(fsync=False))
 
 
 class TestKillAtEveryByte:
     def test_recovery_from_every_byte_boundary(
-        self, certificate, tmp_path, monkeypatch
+        self, store_kind, certificate, tmp_path, monkeypatch
     ):
         """Interrupt a put at every byte of its I/O stream; the store
         must always recover to serving either nothing or the exact
-        fault-free bytes — never a torn certificate."""
+        fault-free bytes — never a torn object."""
         # pin the WAL timestamp: the shortest-roundtrip float repr of
         # time.time() varies by a byte between puts, which would shift
         # the byte boundaries against the probe's measured total
         monkeypatch.setattr(
             "repro.store.wal.time.time", lambda: 1700000000.123456
         )
-        checker = CertificateChecker()
-        assert checker.check(certificate).ok
-        reference = certificate.text()
-        key = certificate_request_key(certificate)
+        assert CertificateChecker().check(certificate).ok
+        sample = store_kind.sample("kill", certificate=certificate)
+        reference = sample.text
 
         probe = FaultyIO()
-        CertificateStore(str(tmp_path / "probe"), io=probe).put(certificate)
+        sample.put(store_kind.store(str(tmp_path / "probe"), io=probe))
         total = probe.bytes_written
         assert total > len(reference)  # object + pointers + journal
 
         survived = 0
         for budget in range(total + 1):
             root = str(tmp_path / f"b{budget}")
-            store = CertificateStore(
+            store = store_kind.store(
                 root, io=FaultyIO(kill_after_bytes=budget)
             )
             try:
-                store.put(certificate)
+                sample.put(store)
                 survived += 1
             except SimulatedCrash:
                 pass
             # "reboot" with healthy I/O and repair
-            store = clean_store(root)
+            store = clean_store(root, store_kind)
             store.recover(verify_objects=True)
-            got = store.get(key)
-            # byte-identity to the checker-approved reference is the
+            got = store_kind.get_text(store, sample.key)
+            # byte-identity to the fault-free reference is the
             # invariant; a clean miss is always acceptable
-            assert got is None or got.text() == reference
-            store.put(certificate)
-            after = store.get(key)
-            assert after is not None and after.text() == reference
+            assert got is None or got == reference
+            sample.put(store)
+            assert store_kind.get_text(store, sample.key) == reference
             assert store.recover(verify_objects=True).clean
         # only the unconstrained budget completes the put
         assert survived == 1
@@ -99,54 +98,56 @@ class TestKillAtEveryByte:
 
 
 class TestWalReplay:
-    def test_intact_object_rolls_forward(self, certificate, tmp_path):
-        store = clean_store(tmp_path)
-        text = certificate.text()
-        cert_hash = sha256_text(text)
-        key = certificate_request_key(certificate)
-        # crash window: intent journaled, object landed, pointers lost
+    def _begin(self, store, store_kind, sample):
+        """Journal a put's intent, as a put does before any write."""
+        object_hash = sha256_text(sample.text)
         store.wal.begin(
-            object_hash=cert_hash,
-            object_bytes=len(text.encode("utf-8")),
-            index_key=key,
-            lineage_key="lineage-key",
+            object_hash=object_hash,
+            object_bytes=len(sample.text.encode("utf-8")),
+            index_key=sample.key,
+            lineage_key="lineage-key" if store_kind.has_lineage else None,
         )
-        store.io.atomic_write_text(store._object_path(cert_hash), text)
+        return object_hash
+
+    def test_intact_object_rolls_forward(
+        self, store_kind, certificate, tmp_path
+    ):
+        store = clean_store(tmp_path, store_kind)
+        sample = store_kind.sample("forward", certificate=certificate)
+        # crash window: intent journaled, object landed, pointers lost
+        object_hash = self._begin(store, store_kind, sample)
+        store.io.atomic_write_text(store.object_path(object_hash), sample.text)
         report = store.recover(verify_objects=True)
-        assert report.rolled_forward == [cert_hash]
+        assert report.rolled_forward == [object_hash]
         assert not report.rolled_back
-        got = store.get(key)
-        assert got is not None and got.text() == text
+        assert store_kind.get_text(store, sample.key) == sample.text
 
     def test_torn_object_rolls_back_and_quarantines(
-        self, certificate, tmp_path
+        self, store_kind, certificate, tmp_path
     ):
-        store = clean_store(tmp_path)
-        text = certificate.text()
-        cert_hash = sha256_text(text)
-        key = certificate_request_key(certificate)
-        store.wal.begin(
-            object_hash=cert_hash,
-            object_bytes=len(text.encode("utf-8")),
-            index_key=key,
-            lineage_key="lineage-key",
+        store = clean_store(tmp_path, store_kind)
+        sample = store_kind.sample("back", certificate=certificate)
+        object_hash = self._begin(store, store_kind, sample)
+        torn = sample.text[: len(sample.text) // 2]
+        store.io.atomic_write_text(store.object_path(object_hash), torn)
+        store.io.atomic_write_text(
+            store.pointer_path("index", sample.key), object_hash + "\n"
         )
-        torn = text[: len(text) // 2]
-        store.io.atomic_write_text(store._object_path(cert_hash), torn)
-        store.io.atomic_write_text(store._index_path(key), cert_hash + "\n")
         report = store.recover(verify_objects=True)
-        assert report.rolled_back == [cert_hash]
+        assert report.rolled_back == [object_hash]
         assert report.quarantined  # evidence preserved, not deleted
-        assert store.get(key) is None
+        assert store_kind.get_text(store, sample.key) is None
         quarantine = os.path.join(
-            str(tmp_path), "quarantine", f"{cert_hash}.cert.json"
+            str(tmp_path), "quarantine", object_hash + store_kind.suffix
         )
         with open(quarantine, "r", encoding="utf-8") as handle:
             assert handle.read() == torn
 
-    def test_orphaned_temp_files_are_swept(self, certificate, tmp_path):
-        store = clean_store(tmp_path)
-        store.put(certificate)
+    def test_orphaned_temp_files_are_swept(
+        self, store_kind, certificate, tmp_path
+    ):
+        store = clean_store(tmp_path, store_kind)
+        store_kind.sample("orphans", certificate=certificate).put(store)
         debris = tmp_path / "objects" / ".tmp-debris~"
         debris.write_text("partial")
         report = store.recover(verify_objects=True)
@@ -154,13 +155,13 @@ class TestWalReplay:
         assert not debris.exists()
 
     def test_checkpoint_preserves_sibling_pending_txn(
-        self, certificate, tmp_path
+        self, store_kind, certificate, tmp_path
     ):
         """flush() must not drop a crashed sibling process's begin
         record — recovery still needs it to quarantine that put's
         debris."""
-        store = clean_store(tmp_path)
-        store.put(certificate)
+        store = clean_store(tmp_path, store_kind)
+        store_kind.sample("flush", certificate=certificate).put(store)
         sibling = WriteAheadLog(str(tmp_path), StoreIO(fsync=False))
         sibling.begin(
             object_hash="f" * 64,
@@ -174,15 +175,17 @@ class TestWalReplay:
         report = store.recover(verify_objects=True)
         assert report.rolled_back == ["f" * 64]
 
-    def test_torn_journal_tail_is_tolerated(self, certificate, tmp_path):
-        store = clean_store(tmp_path)
-        store.put(certificate)
+    def test_torn_journal_tail_is_tolerated(
+        self, store_kind, certificate, tmp_path
+    ):
+        store = clean_store(tmp_path, store_kind)
+        sample = store_kind.sample("tail", certificate=certificate)
+        sample.put(store)
         with open(store.wal.path, "a", encoding="utf-8") as handle:
             handle.write('{"op": "begin", "txn"')  # append died mid-line
         report = store.recover(verify_objects=True)
         assert report.clean
-        key = certificate_request_key(certificate)
-        assert store.get(key) is not None
+        assert store_kind.get_text(store, sample.key) == sample.text
 
 
 def _hammer(root: str, text: str, repeats: int) -> None:
