@@ -391,6 +391,24 @@ class ScaleReport:
             "superlinear_factor": self.superlinear_factor,
         }
 
+    def ok(self, min_warm_speedup: Optional[float] = None) -> bool:
+        """The CI gate: no hard errors, no superlinear blowup, and when
+        the warm/cold protocol ran its certificates are byte-identical
+        with alarm parity (plus the speedup floor, which fails when the
+        protocol did not run)."""
+        if any(r.status == "error" for r in self.rows):
+            return False
+        if find_superlinear(self.rows, factor=self.superlinear_factor):
+            return False
+        w = self.warm_cold
+        if w is None:
+            return min_warm_speedup is None
+        return (
+            w.certificates_identical
+            and w.alarms_equal
+            and (min_warm_speedup is None or w.speedup >= min_warm_speedup)
+        )
+
     def format(self) -> str:
         lines = [
             f"{'family':16s} {'engine':10s} {'stmts':>8s} {'certify':>9s}"

@@ -93,6 +93,42 @@ class TestBenchCli:
         assert main(["bench", "--programs", "no_such_prog"]) == 2
         assert "unknown suite program" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "mode, flags, named",
+        [
+            ("--scale", ["--spec", "grp"], ["--spec"]),
+            ("--scale", ["--engines", "fds"], ["--engines"]),
+            ("--scale", ["--programs", "fig3"], ["--programs"]),
+            (
+                "--scale",
+                ["--deadline", "1", "--max-steps", "5", "--ladder"],
+                ["--deadline", "--max-steps", "--ladder"],
+            ),
+            ("--incremental", ["--engines", "fds"], ["--engines"]),
+            ("--incremental", ["--programs", "fig3"], ["--programs"]),
+            (
+                "--incremental",
+                ["--max-structures", "1", "--max-steps", "0"],
+                ["--max-steps", "--max-structures"],
+            ),
+        ],
+    )
+    def test_flags_the_mode_cannot_honour_exit_2(
+        self, capsys, mode, flags, named
+    ):
+        # these used to exit 0 after running the mode without the flags
+        assert main(["bench", mode, *flags, "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert f"conflict(s) with {mode}" in err
+        for flag in named:
+            assert flag in err
+
+    def test_scale_and_incremental_are_exclusive(self, capsys):
+        # this used to run only the scale bench
+        assert main(["bench", "--scale", "--incremental"]) == 2
+        err = capsys.readouterr().err
+        assert "--scale" in err and "--incremental" in err
+
 
 class TestFuzzCli:
     def test_small_run_json_shape(self, capsys):
