@@ -157,7 +157,7 @@ class CertificateChecker:
         subject = str(payload.get("subject", "?")) if isinstance(payload, dict) else "?"
         with phase("check", engine=engine) as meta:
             try:
-                result = self._check(payload, spec)
+                result = self._check(payload, spec, meta)
             except _Reject as reject:
                 result = CheckResult(
                     ok=False,
@@ -190,7 +190,9 @@ class CertificateChecker:
             meta["kind"] = result.kind
         return result
 
-    def _check(self, payload, spec: Optional[ComponentSpec]) -> CheckResult:
+    def _check(
+        self, payload, spec: Optional[ComponentSpec], meta: Dict[str, object]
+    ) -> CheckResult:
         if not isinstance(payload, dict):
             raise _Reject("malformed", "certificate is not a JSON object")
         if payload.get("format") != model.CERT_FORMAT:
@@ -310,7 +312,7 @@ class CertificateChecker:
             )
         elif engine == "interproc":
             alarms, nodes, edges = self._check_interproc(
-                session, program, arts, annotation
+                session, program, arts, annotation, meta
             )
         elif engine.startswith("tvla-"):
             alarms, nodes, edges = self._check_tvla(arts, annotation)
@@ -442,16 +444,23 @@ class CertificateChecker:
         alarms = solver._collect_alarms(boolprog, alarm_hits)
         return alarms, len(states), checked
 
-    def _check_interproc(self, session, program, arts, annotation):
+    def _check_interproc(self, session, program, arts, annotation, meta):
         if annotation.get("kind") != "interproc":
             raise _Reject("malformed", "annotation kind is not 'interproc'")
         # a fresh certifier per check: its fact spaces are rebuilt from
-        # the abstraction's transform memo, so none outlive the check
+        # the abstraction's transform memo, so none outlive the check,
+        # and its call-site plans come from that memo too
         certifier = InterproceduralCertifier(
             program,
             arts["abstraction"],
             prune_requires=session.options.prune_requires,
         )
+        try:
+            return self._replay_interproc(session, certifier, annotation)
+        finally:
+            meta.update(certifier.plan_stats)
+
+    def _replay_interproc(self, session, certifier, annotation):
         try:
             contexts: Dict[Tuple[str, int], dict] = {}
             for ctx in annotation["contexts"]:
@@ -527,10 +536,8 @@ class CertificateChecker:
                 zmask = zeros[edge.src]
                 stm = calls.get((edge.src, edge.dst))
                 if stm is not None:
-                    vector, callee_space = certifier.call_entry_vector(
-                        space, mask, stm
-                    )
-                    callee_key = (stm.callee, vector)
+                    plan = certifier.call_plan(space, edge.src, edge.dst, stm)
+                    callee_key = (stm.callee, plan.entry(mask))
                     callee = contexts.get(callee_key)
                     if callee is None:
                         raise _Reject(
@@ -539,9 +546,7 @@ class CertificateChecker:
                             "is not annotated",
                             edge=(method, edge.src, edge.dst),
                         )
-                    out = certifier.map_return(
-                        space, mask, stm, callee_space, callee["summary"]
-                    )
+                    out = plan.ret(mask, callee["summary"])
                     zout = all_vars
                 else:
                     transferred = certifier.edge_transfer(

@@ -40,10 +40,21 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.certifier.boolprog import BoolProgram, Instance
+from repro.certifier.callplan import (
+    FALSE,
+    TRUE,
+    CallPlan,
+    Dnf,
+    both,
+    caller_bit,
+    constant,
+    either,
+    exit_bit,
+)
 from repro.certifier.report import Alarm, CertificationReport
 from repro.certifier.transform import (
     ClientTransformer,
@@ -149,6 +160,25 @@ class ProcSpace:
     phantoms: Dict[str, str]  # phantom name -> anchor ghost name
     call_edges: List[Tuple[int, int, SCallClient]]
     default_mask: int  # instance values when everything is null
+    #: the transform memo's instance universe of ``variables``
+    universe: object
+    #: call edge (src, dst) -> its compiled plan, filled on first use
+    plans: Dict[Tuple[int, int], CallPlan] = field(default_factory=dict)
+
+
+def _binding(
+    stm: SCallClient, minfo: MethodInfo
+) -> Tuple[Tuple[str, str], ...]:
+    """The caller actual each callee formal is bound to at ``stm``:
+    the receiver binds ``this``, each argument its parameter."""
+    pairs = []
+    if stm.receiver is not None and not minfo.is_static:
+        pairs.append(("this", stm.receiver))
+    pairs.extend(
+        (pname, actual)
+        for (pname, _pt), actual in zip(minfo.params, stm.args)
+    )
+    return tuple(pairs)
 
 
 class InterproceduralCertifier:
@@ -192,7 +222,6 @@ class InterproceduralCertifier:
         self.governor = governor
         #: per-space reverse-postorder priorities for the local fixpoints
         self._rpo: Dict[str, Dict[int, int]] = {}
-        self._formal_visible: Dict[str, str] = {}
         #: set by a completed ``certify``: the tabulation fixpoint
         #: (per-context node masks + summary table) for certificate emission
         self.fixpoint: Optional[Dict[str, object]] = None
@@ -226,6 +255,13 @@ class InterproceduralCertifier:
         #: recomputing the formula scan per call edge dominated
         #: large-program profiles
         self._mutable_memo: Dict[str, bool] = {}
+        #: call-site plans compiled by this certifier, and call sites
+        #: whose plan another certifier over the same abstraction (or
+        #: another site of this one) had compiled
+        self.plan_stats: Dict[str, int] = {
+            "call_plans_built": 0,
+            "call_plans_reused": 0,
+        }
 
     def _family_mutable(self, family: Family) -> bool:
         value = self._mutable_memo.get(family.name)
@@ -297,6 +333,7 @@ class InterproceduralCertifier:
             phantoms,
             call_edges,
             boolprog.initial_mask(),
+            self.transformer.universe(variables),
         )
         self.spaces[qualified] = space
         return space
@@ -335,39 +372,81 @@ class InterproceduralCertifier:
             cfg.add_edge(node(edge.src), node(edge.dst), stm)
         return cfg
 
-    # -- value lookups --------------------------------------------------------------------
+    # -- call-site plans --------------------------------------------------------------
+    #
+    # Each bit of a call's entry vector and of its return mask is a
+    # monotone function of caller-mask and callee-exit bits, fixed by the
+    # call site's shape.  The builders below derive those functions as
+    # DNFs (``repro.certifier.callplan``); a compiled ``CallPlan`` is
+    # memoized on the abstraction's transform memo, keyed by everything
+    # the builders read, so the tabulation, the summary validation and
+    # the checker apply it across contexts and clients.
 
-    def _caller_value(
-        self, caller: ProcSpace, mask: int, family: str, args: Tuple[str, ...]
-    ) -> bool:
-        index = caller.boolprog.lookup(Instance(family, args))
-        return index is not None and bool(mask >> index & 1)
+    def call_plan(
+        self, caller: ProcSpace, src: int, dst: int, stm: SCallClient
+    ) -> CallPlan:
+        """The compiled entry and return maps of the call on edge
+        ``src -> dst`` of ``caller``'s fact space."""
+        plan = caller.plans.get((src, dst))
+        if plan is not None:
+            return plan
+        callee = self.space(stm.callee)
+        binding = _binding(stm, callee.method)
+        key = (
+            caller.universe,
+            callee.universe,
+            binding,
+            stm.result if RET_VAR in callee.variables else None,
+            tuple(callee.ghosts.items()),
+            tuple(callee.phantoms.items()),
+            tuple(self.statics),
+        )
+        memo = self.abstraction.transform_memo
+        plan = memo.plans.get(key)
+        if plan is None:
+            beta = self._beta(binding, callee)
+            plan = CallPlan(
+                [
+                    self._entry_value(instance, beta, caller, callee)
+                    for instance in callee.boolprog.instances()
+                ],
+                self._return_outputs(caller, stm, callee, beta),
+            )
+            memo.charge(plan.cells)
+            memo.plans[key] = plan
+            self.plan_stats["call_plans_built"] += 1
+        else:
+            self.plan_stats["call_plans_reused"] += 1
+        caller.plans[(src, dst)] = plan
+        return plan
 
-    def _exit_value(
-        self, callee: ProcSpace, mask: int, family: str, args: Tuple[str, ...]
-    ) -> bool:
-        index = callee.boolprog.lookup(Instance(family, args))
-        return index is not None and bool(mask >> index & 1)
+    def _caller_bit(
+        self, caller: ProcSpace, family: str, args: Tuple[str, ...]
+    ) -> Dnf:
+        return caller_bit(caller.boolprog.lookup(Instance(family, args)))
+
+    def _exit_bit(
+        self, callee: ProcSpace, family: str, args: Tuple[str, ...]
+    ) -> Dnf:
+        return exit_bit(callee.boolprog.lookup(Instance(family, args)))
 
     def _caller_symmetric(
-        self, caller: ProcSpace, mask: int, family: str, a: str, b: str
-    ) -> bool:
-        """Query a symmetric (identity/mutex-shaped) family in either
+        self, caller: ProcSpace, family: str, a: str, b: str
+    ) -> Dnf:
+        """A symmetric (identity/mutex-shaped) caller family in either
         argument order."""
-        return self._caller_value(
-            caller, mask, family, (a, b)
-        ) or self._caller_value(caller, mask, family, (b, a))
+        return either(
+            self._caller_bit(caller, family, (a, b)),
+            self._caller_bit(caller, family, (b, a)),
+        )
 
     # -- entry-vector construction -----------------------------------------------------------
 
-    def _beta(self, stm: SCallClient, callee: ProcSpace) -> Dict[str, str]:
+    def _beta(
+        self, binding: Tuple[Tuple[str, str], ...], callee: ProcSpace
+    ) -> Dict[str, str]:
         """Caller-visible name of each callee interface variable."""
-        minfo = callee.method
-        beta: Dict[str, str] = {}
-        if stm.receiver is not None and not minfo.is_static:
-            beta["this"] = stm.receiver
-        for (pname, _pt), actual in zip(minfo.params, stm.args):
-            beta[pname] = actual
+        beta: Dict[str, str] = dict(binding)
         for static in self.statics:
             beta[static] = static
         for ghost, anchored in callee.ghosts.items():
@@ -375,47 +454,30 @@ class InterproceduralCertifier:
                 beta[ghost] = beta[anchored]
         return beta
 
-    def map_entry(
-        self,
-        caller: ProcSpace,
-        caller_mask: int,
-        stm: SCallClient,
-        callee: ProcSpace,
-    ) -> int:
-        beta = self._beta(stm, callee)
-        entry = 0
-        for index, instance in enumerate(callee.boolprog.instances()):
-            if self._entry_value(instance, beta, caller, caller_mask, callee):
-                entry |= 1 << index
-        return entry
-
     def _entry_value(
         self,
         instance: Instance,
         beta: Dict[str, str],
         caller: ProcSpace,
-        caller_mask: int,
         callee: ProcSpace,
-    ) -> bool:
+    ) -> Dnf:
         family = self.abstraction.family(instance.family)
         has_phantom = any(a in callee.phantoms for a in instance.args)
         if has_phantom:
             return self._phantom_entry_value(
-                instance, family, beta, caller, caller_mask, callee
+                instance, family, beta, caller, callee
             )
         mapped: List[str] = []
         for arg in instance.args:
             visible = beta.get(arg)
             if visible is None:
                 # a callee local (incl. ##ret): null at entry
-                return (
+                return constant(
                     len(set(instance.args)) <= 1
                     and self.abstraction.is_reflexive(family.name)
                 )
             mapped.append(visible)
-        return self._caller_value(
-            caller, caller_mask, family.name, tuple(mapped)
-        )
+        return self._caller_bit(caller, family.name, tuple(mapped))
 
     def _phantom_entry_value(
         self,
@@ -423,27 +485,26 @@ class InterproceduralCertifier:
         family: Family,
         beta: Dict[str, str],
         caller: ProcSpace,
-        caller_mask: int,
         callee: ProcSpace,
-    ) -> bool:
+    ) -> Dnf:
         shapes = self.shapes
         args = instance.args
         if family.name in shapes.identity.values():
-            return args[0] == args[1]
+            return constant(args[0] == args[1])
         if family.name in shapes.mutable_unary.values():
-            return False  # a pre-existing iterator is valid at entry
+            return FALSE  # a pre-existing iterator is valid at entry
         phantoms = [a for a in args if a in callee.phantoms]
         if len(phantoms) == len(args):
-            return False
+            return FALSE
         phantom = phantoms[0]
         other = next(a for a in args if a not in callee.phantoms)
         other_visible = beta.get(other)
         if other_visible is None:
-            return False  # phantom vs. callee local: null at entry
+            return FALSE  # phantom vs. callee local: null at entry
         anchor_ghost = callee.phantoms[phantom]
         anchor_visible = beta.get(anchor_ghost)
         if anchor_visible is None:
-            return False
+            return FALSE
         anchor_sort = callee.variables[anchor_ghost]
         iter_sort = callee.variables[phantom]
         set_sort = shapes.collection_of.get(iter_sort)
@@ -453,60 +514,63 @@ class InterproceduralCertifier:
             # phantom iterates the anchor collection itself
             if family.name == relation and other_sort == set_sort:
                 identity_set = shapes.identity.get(set_sort or "")
-                return identity_set is not None and (
-                    self._caller_symmetric(
-                        caller, caller_mask, identity_set,
-                        anchor_visible, other_visible,
-                    )
-                    or anchor_visible == other_visible
+                if identity_set is None:
+                    return FALSE
+                if anchor_visible == other_visible:
+                    return TRUE
+                return self._caller_symmetric(
+                    caller, identity_set, anchor_visible, other_visible
                 )
             if family.name == shapes.mutex.get(iter_sort):
-                return relation is not None and self._caller_value(
-                    caller, caller_mask, relation,
+                if relation is None:
+                    return FALSE
+                return self._caller_bit(
+                    caller,
+                    relation,
                     shapes.relation_args(
                         relation, other_visible, anchor_visible
                     ),
                 )
-            return False
+            return FALSE
         # phantom shares the anchor iterator's collection
         if family.name == relation and other_sort == set_sort:
-            return relation is not None and self._caller_value(
-                caller, caller_mask, relation,
-                shapes.relation_args(
-                    relation, anchor_visible, other_visible
-                ),
+            if relation is None:
+                return FALSE
+            return self._caller_bit(
+                caller,
+                relation,
+                shapes.relation_args(relation, anchor_visible, other_visible),
             )
         if family.name == shapes.mutex.get(iter_sort):
             if other_sort != iter_sort:
-                return False
+                return FALSE
             mutex = shapes.mutex[iter_sort]
             identity_iter = shapes.identity.get(iter_sort)
-            return self._caller_symmetric(
-                caller, caller_mask, mutex, anchor_visible, other_visible
-            ) or (
-                identity_iter is not None
-                and (
-                    self._caller_symmetric(
-                        caller, caller_mask, identity_iter,
-                        anchor_visible, other_visible,
-                    )
-                    or anchor_visible == other_visible
-                )
+            linked = self._caller_symmetric(
+                caller, mutex, anchor_visible, other_visible
             )
-        return False
+            if identity_iter is None:
+                return linked
+            if anchor_visible == other_visible:
+                return TRUE
+            return either(
+                linked,
+                self._caller_symmetric(
+                    caller, identity_iter, anchor_visible, other_visible
+                ),
+            )
+        return FALSE
 
     # -- return-vector construction ------------------------------------------------------------
 
-    def map_return(
+    def _return_outputs(
         self,
         caller: ProcSpace,
-        caller_mask: int,
         stm: SCallClient,
         callee: ProcSpace,
-        exit_mask: int,
-    ) -> int:
+        beta: Dict[str, str],
+    ) -> List[Dnf]:
         ghost_of: Dict[str, str] = {}
-        beta = self._beta(stm, callee)
         for ghost, anchored in callee.ghosts.items():
             visible = beta.get(anchored)
             if visible is not None and visible not in ghost_of:
@@ -514,29 +578,24 @@ class InterproceduralCertifier:
         result_var = (
             stm.result if RET_VAR in callee.variables else None
         )
-        out = 0
-        for index, instance in enumerate(caller.boolprog.instances()):
-            if self._return_value(
-                instance, caller, caller_mask, callee, exit_mask, ghost_of,
-                result_var,
-            ):
-                out |= 1 << index
-        return out
+        return [
+            self._return_value(
+                instance, caller, callee, beta, ghost_of, result_var
+            )
+            for instance in caller.boolprog.instances()
+        ]
 
     def _return_value(
         self,
         instance: Instance,
         caller: ProcSpace,
-        caller_mask: int,
         callee: ProcSpace,
-        exit_mask: int,
+        beta: Dict[str, str],
         ghost_of: Dict[str, str],
         result_var: Optional[str],
-    ) -> bool:
+    ) -> Dnf:
         family = self.abstraction.family(instance.family)
-        current = self._caller_value(
-            caller, caller_mask, family.name, instance.args
-        )
+        current = self._caller_bit(caller, family.name, instance.args)
         callee_names: List[Optional[str]] = []
         changed: List[bool] = []
         local_positions: List[int] = []
@@ -555,25 +614,31 @@ class InterproceduralCertifier:
                 changed.append(False)
                 local_positions.append(pos)
         if not local_positions:
-            return self._exit_value(
-                callee, exit_mask, family.name,
+            return self._exit_bit(
+                callee, family.name,
                 tuple(callee_names),  # type: ignore[arg-type]
             )
         mutable = self._family_mutable(family)
         if mutable:
             if family.arity != 1:
-                return True  # outside the CMP class: stay sound
-            return current or self._invalidated_via_interface(
-                instance.args[0], caller, caller_mask, callee, exit_mask
+                return TRUE  # outside the CMP class: stay sound
+            return either(
+                current,
+                self._invalidated_via_interface(
+                    instance.args[0], caller, callee, beta
+                ),
             )
         if not any(changed):
             return current  # locals + actuals only: values frozen
-        return self._origin_composition(
-            instance, family, caller, caller_mask, callee, exit_mask,
-            callee_names, changed,
-        ) or self._fresh_object_composition(
-            instance, family, caller, caller_mask, callee, exit_mask,
-            callee_names, changed,
+        return either(
+            self._origin_composition(
+                instance, family, caller, callee, beta, callee_names,
+                changed,
+            ),
+            self._fresh_object_composition(
+                instance, family, caller, callee, beta, callee_names,
+                changed,
+            ),
         )
 
     def _interface_ghosts(
@@ -585,82 +650,85 @@ class InterproceduralCertifier:
             if callee.variables[ghost] == sort
         ]
 
-    def _origin_visible(self, anchored: str) -> Optional[str]:
-        if anchored in self.statics:
-            return anchored
-        return self._formal_visible.get(anchored)
-
     def _invalidated_via_interface(
         self,
         local: str,
         caller: ProcSpace,
-        caller_mask: int,
         callee: ProcSpace,
-        exit_mask: int,
-    ) -> bool:
+        beta: Dict[str, str],
+    ) -> Dnf:
         iter_sort = caller.variables.get(local)
         if iter_sort is None:
-            return True
+            return TRUE
         stale = self.shapes.mutable_unary.get(iter_sort)
         set_sort = self.shapes.collection_of.get(iter_sort)
         relation = self.shapes.relation.get((iter_sort, set_sort or ""))
         mutex = self.shapes.mutex.get(iter_sort)
         identity_iter = self.shapes.identity.get(iter_sort)
         if stale is None:
-            return True
+            return TRUE
+        result = FALSE
         for phantom, anchor_ghost in callee.phantoms.items():
             if callee.variables[phantom] != iter_sort:
                 continue
-            if not self._exit_value(callee, exit_mask, stale, (phantom,)):
+            invalidated = self._exit_bit(callee, stale, (phantom,))
+            if not invalidated:
                 continue
-            visible = self._origin_visible(callee.ghosts[anchor_ghost])
+            visible = beta.get(callee.ghosts[anchor_ghost])
             if visible is None:
                 continue
             anchor_sort = callee.variables[anchor_ghost]
             if anchor_sort == set_sort and relation is not None:
-                if self._caller_value(
-                    caller, caller_mask, relation,
+                reaches = self._caller_bit(
+                    caller,
+                    relation,
                     self.shapes.relation_args(relation, local, visible),
-                ):
-                    return True
+                )
             elif anchor_sort == iter_sort:
-                if mutex is not None and self._caller_symmetric(
-                    caller, caller_mask, mutex, local, visible
-                ):
-                    return True
-                if identity_iter is not None and (
-                    self._caller_symmetric(
-                        caller, caller_mask, identity_iter, local, visible
+                reaches = FALSE
+                if mutex is not None:
+                    reaches = self._caller_symmetric(
+                        caller, mutex, local, visible
                     )
-                    or local == visible
-                ):
-                    return True
+                if identity_iter is not None:
+                    reaches = either(
+                        reaches,
+                        constant(local == visible),
+                        self._caller_symmetric(
+                            caller, identity_iter, local, visible
+                        ),
+                    )
+            else:
+                continue
+            result = either(result, both(invalidated, reaches))
         # the local may *be* one of the passed iterators
         if identity_iter is not None:
             for ghost, anchored in self._interface_ghosts(callee, iter_sort):
-                visible = self._origin_visible(anchored)
+                visible = beta.get(anchored)
                 if visible is None:
                     continue
-                if (
+                same = either(
+                    constant(local == visible),
                     self._caller_symmetric(
-                        caller, caller_mask, identity_iter, local, visible
-                    )
-                    or local == visible
-                ) and self._exit_value(callee, exit_mask, stale, (ghost,)):
-                    return True
-        return False
+                        caller, identity_iter, local, visible
+                    ),
+                )
+                result = either(
+                    result,
+                    both(same, self._exit_bit(callee, stale, (ghost,))),
+                )
+        return result
 
     def _origin_composition(
         self,
         instance: Instance,
         family: Family,
         caller: ProcSpace,
-        caller_mask: int,
         callee: ProcSpace,
-        exit_mask: int,
+        beta: Dict[str, str],
         callee_names: List[Optional[str]],
         changed: List[bool],
-    ) -> bool:
+    ) -> Dnf:
         """Reconnect each changed (static / returned) position to an
         entry-time origin via the identity families."""
         identity = self.shapes.identity
@@ -669,121 +737,128 @@ class InterproceduralCertifier:
             self._interface_ghosts(callee, family.sorts[p])
             for p in positions
         ]
+        result = FALSE
         for combo in itertools.product(*pools):
             caller_args = list(instance.args)
             visible_ok = True
             for (ghost, anchored), pos in zip(combo, positions):
-                visible = self._origin_visible(anchored)
+                visible = beta.get(anchored)
                 if visible is None:
                     visible_ok = False
                     break
                 caller_args[pos] = visible
             if not visible_ok:
                 continue
-            if not self._caller_value(
-                caller, caller_mask, family.name, tuple(caller_args)
-            ):
-                continue
-            linked = True
+            linked = self._caller_bit(
+                caller, family.name, tuple(caller_args)
+            )
             for (ghost, _anchored), pos in zip(combo, positions):
+                if not linked:
+                    break
                 id_family = identity.get(family.sorts[pos])
                 name = callee_names[pos]
                 if id_family is None or name is None:
-                    linked = False
+                    linked = FALSE
                     break
-                if not (
-                    self._exit_value(
-                        callee, exit_mask, id_family, (ghost, name)
-                    )
-                    or self._exit_value(
-                        callee, exit_mask, id_family, (name, ghost)
-                    )
-                ):
-                    linked = False
-                    break
-            if linked:
-                return True
-        return False
+                linked = both(
+                    linked,
+                    either(
+                        self._exit_bit(callee, id_family, (ghost, name)),
+                        self._exit_bit(callee, id_family, (name, ghost)),
+                    ),
+                )
+            result = either(result, linked)
+        return result
 
     def _fresh_object_composition(
         self,
         instance: Instance,
         family: Family,
         caller: ProcSpace,
-        caller_mask: int,
         callee: ProcSpace,
-        exit_mask: int,
+        beta: Dict[str, str],
         callee_names: List[Optional[str]],
         changed: List[bool],
-    ) -> bool:
+    ) -> Dnf:
         """A changed position may hold a *callee-created* iterator over a
         pre-existing collection; relation/mutex facts can then hold with
         no identity link.  Handles the two CMP-class shapes."""
         shapes = self.shapes
         if sum(changed) != 1:
-            return False
+            return FALSE
         pos = changed.index(True)
         other = 1 - pos if family.arity == 2 else None
         changed_name = callee_names[pos]
         if changed_name is None or other is None:
-            return False
+            return FALSE
+        result = FALSE
         if family.name in shapes.relation.values():
             iter_pos = 0 if family.sorts[0] in shapes.collection_of else 1
             if pos != iter_pos:
-                return False  # collections are never callee-fresh *and*
+                return FALSE  # collections are never callee-fresh *and*
                 # related to a pre-existing iterator
             set_sort = family.sorts[1 - iter_pos]
             identity_set = shapes.identity.get(set_sort)
             if identity_set is None:
-                return False
+                return FALSE
             local_set = instance.args[other]
             for ghost, anchored in self._interface_ghosts(callee, set_sort):
-                visible = self._origin_visible(anchored)
+                visible = beta.get(anchored)
                 if visible is None:
                     continue
-                same_at_call = (
-                    visible == local_set
-                    or self._caller_value(
-                        caller, caller_mask, identity_set,
-                        (visible, local_set),
-                    )
-                    or self._caller_value(
-                        caller, caller_mask, identity_set,
-                        (local_set, visible),
-                    )
+                same_at_call = either(
+                    constant(visible == local_set),
+                    self._caller_bit(
+                        caller, identity_set, (visible, local_set)
+                    ),
+                    self._caller_bit(
+                        caller, identity_set, (local_set, visible)
+                    ),
                 )
                 exit_args = (
                     (changed_name, ghost)
                     if iter_pos == 0
                     else (ghost, changed_name)
                 )
-                if same_at_call and self._exit_value(
-                    callee, exit_mask, family.name, exit_args
-                ):
-                    return True
-            return False
+                result = either(
+                    result,
+                    both(
+                        same_at_call,
+                        self._exit_bit(callee, family.name, exit_args),
+                    ),
+                )
+            return result
         if family.name in shapes.mutex.values():
             iter_sort = family.sorts[0]
             set_sort = shapes.collection_of.get(iter_sort)
             relation = shapes.relation.get((iter_sort, set_sort or ""))
             if relation is None:
-                return False
+                return FALSE
             local = instance.args[other]
             for ghost, anchored in self._interface_ghosts(
                 callee, set_sort or ""
             ):
-                visible = self._origin_visible(anchored)
+                visible = beta.get(anchored)
                 if visible is None:
                     continue
-                if self._caller_value(
-                    caller, caller_mask, relation,
-                    shapes.relation_args(relation, local, visible),
-                ) and self._exit_value(
-                    callee, exit_mask, relation,
-                    shapes.relation_args(relation, changed_name, ghost),
-                ):
-                    return True
-        return False
+                result = either(
+                    result,
+                    both(
+                        self._caller_bit(
+                            caller,
+                            relation,
+                            shapes.relation_args(relation, local, visible),
+                        ),
+                        self._exit_bit(
+                            callee,
+                            relation,
+                            shapes.relation_args(
+                                relation, changed_name, ghost
+                            ),
+                        ),
+                    ),
+                )
+        return result
 
     # -- the tabulation ---------------------------------------------------------------------
 
@@ -793,6 +868,7 @@ class InterproceduralCertifier:
             trace_meta.update(
                 contexts=self.stats["contexts"],
                 edge_visits=self.stats["edge_visits"],
+                **self.plan_stats,
             )
         return report
 
@@ -1130,12 +1206,10 @@ class InterproceduralCertifier:
                 self.stats["edge_visits"] += 1
                 call_stm = calls.get((edge.src, edge.dst))
                 if call_stm is not None:
-                    centry, callee_space = self.call_entry_vector(
-                        space, mask, call_stm
-                    )
-                    callee_key = (call_stm.callee, centry)
+                    plan = self.call_plan(space, edge.src, edge.dst, call_stm)
+                    callee_key = (call_stm.callee, plan.entry(mask))
                     callee_all = (
-                        1 << callee_space.boolprog.num_vars
+                        1 << self.space(call_stm.callee).boolprog.num_vars
                     ) - 1
                     # only a *validated* callee summary may discharge a
                     # call edge: computed-in-progress values are partial
@@ -1150,10 +1224,7 @@ class InterproceduralCertifier:
                         visiting,
                     ):
                         return False
-                    out = self.map_return(
-                        space, mask, call_stm, callee_space,
-                        memo[callee_key],
-                    )
+                    out = plan.ret(mask, memo[callee_key])
                     zout = all_vars
                 else:
                     transferred = self.edge_transfer(
@@ -1258,7 +1329,7 @@ class InterproceduralCertifier:
                 call_stm = calls.get((edge.src, edge.dst))
                 if call_stm is not None:
                     out = self._call_transfer(
-                        key, space, mask, call_stm, memo, dependents,
+                        key, space, edge, mask, call_stm, memo, dependents,
                         schedule,
                     )
                     if out is None:
@@ -1338,38 +1409,16 @@ class InterproceduralCertifier:
             zupdated = zupdated | bit if zvalue else zupdated & ~bit
         return updated, zupdated
 
-    def call_entry_vector(
-        self, caller_space, caller_mask, stm
-    ) -> Tuple[int, "ProcSpace"]:
-        """Map the caller's mask through a call statement to the callee's
-        entry vector (binding formal->actual visibility on the way).
-        Leaves ``_formal_visible`` set for a following ``map_return``."""
-        callee_space = self.space(stm.callee)
-        minfo = callee_space.method
-        self._formal_visible = {}
-        if stm.receiver is not None and not minfo.is_static:
-            self._formal_visible["this"] = stm.receiver
-        for (pname, _pt), actual in zip(minfo.params, stm.args):
-            self._formal_visible[pname] = actual
-        entry_vector = self.map_entry(
-            caller_space, caller_mask, stm, callee_space
-        )
-        return entry_vector, callee_space
-
     def _call_transfer(
-        self, caller_key, caller_space, caller_mask, stm, memo, dependents,
-        schedule,
+        self, caller_key, caller_space, edge, caller_mask, stm, memo,
+        dependents, schedule,
     ) -> Optional[int]:
-        entry_vector, callee_space = self.call_entry_vector(
-            caller_space, caller_mask, stm
-        )
-        callee_key = (stm.callee, entry_vector)
+        plan = self.call_plan(caller_space, edge.src, edge.dst, stm)
+        callee_key = (stm.callee, plan.entry(caller_mask))
         if callee_key not in memo:
             schedule(callee_key)  # a brand-new context
         dependents.setdefault(callee_key, set()).add(caller_key)
         exit_mask = memo[callee_key]
         if exit_mask is None:
             return None
-        return self.map_return(
-            caller_space, caller_mask, stm, callee_space, exit_mask
-        )
+        return plan.ret(caller_mask, exit_mask)

@@ -45,11 +45,12 @@ from repro.lang.types import Program
 from repro.runtime.trace import phase as trace_phase
 from repro.logic.terms import Base
 
-#: how many cells (instances, checks and assignments) one abstraction's
-#: transform memo holds before it starts over.  A cell takes about
-#: 0.21 KB with its share of the index and templates, so this caps the
-#: memo near 3.5 MB, ten times the 1,527-cell peak of the benchmark
-#: workloads (EXPERIMENTS.md E17)
+#: how many cells (instances, checks, assignments, and the entries of
+#: call-site plans) one abstraction's transform memo holds before it
+#: starts over.  A cell takes at most about 0.21 KB with its share of the
+#: index, templates and plan keys, so this caps the memo near 3.5 MB,
+#: nine times the 1,780-cell peak of the benchmark workloads, of which
+#: 22 call-site plans take 498 cells (EXPERIMENTS.md E18)
 _MEMO_CELLS = 16384
 
 
@@ -158,24 +159,30 @@ class _Universe:
 
 class _TransformMemo:
     """One abstraction's instance universes, keyed by ordered variable
-    environment, and the cells they hold.
+    environment, the interprocedural call-site plans compiled over them
+    (:meth:`repro.certifier.interproc.InterproceduralCertifier.call_plan`),
+    and the cells they hold.
 
     Every entry is a pure function of its key, so emptying the memo when
     it would pass ``_MEMO_CELLS`` only costs rebuilding.  A universe
     still in use when the memo empties keeps filling templates, which
     are charged to the emptied memo, so ``cells`` may run ahead of what
-    the memo holds but never behind.
+    the memo holds but never behind.  A plan key holds its universes
+    themselves, so a plan never outlives or aliases the universe it was
+    compiled over.
     """
 
-    __slots__ = ("universes", "cells")
+    __slots__ = ("universes", "plans", "cells")
 
     def __init__(self) -> None:
         self.universes: Dict[tuple, _Universe] = {}
+        self.plans: Dict[tuple, object] = {}
         self.cells = 0
 
     def charge(self, cells: int) -> None:
         if self.cells + cells > _MEMO_CELLS:
             self.universes.clear()
+            self.plans.clear()
             self.cells = 0
         self.cells += cells
 
@@ -214,7 +221,7 @@ class ClientTransformer:
 
     # -- instance universe -----------------------------------------------------
 
-    def _universe(self, variables: Dict[str, str]) -> _Universe:
+    def universe(self, variables: Dict[str, str]) -> _Universe:
         key = tuple(sorted(variables.items()))
         universe = self._universes.get(key)
         if universe is None:
@@ -252,7 +259,7 @@ class ClientTransformer:
         self, cfg: CFG, variables: Dict[str, str]
     ) -> BoolProgram:
         self._check_shallow(cfg)
-        universe = self._universe(variables)
+        universe = self.universe(variables)
         boolprog = BoolProgram(cfg.method)
         boolprog.entry = cfg.entry
         boolprog.exit = cfg.exit

@@ -301,7 +301,34 @@ def parse_args(argv: Sequence[str]) -> argparse.Namespace:
         argv[:2] = ["bench serve"]
     elif not argv or argv[0] not in (*COMMANDS, "-h", "--help"):
         argv.insert(0, "")
-    return build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "bench":
+        # bench refuses the flags of the modes it does not run, and most
+        # of them have defaults, so it asks argv what was given
+        args.given = _given_options(parser, argv)
+    return args
+
+
+def _given_options(parser: argparse.ArgumentParser, argv) -> frozenset:
+    """The option strings ``argv`` gives its command, whatever their
+    values: ``argv`` parsed again with every default suppressed, so
+    only the options it names reach the namespace.  Spends ``parser``.
+    """
+    (commands,) = [
+        action
+        for action in parser._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    command = commands.choices[argv[0]]
+    for action in command._actions:
+        action.default = argparse.SUPPRESS
+    given = vars(command.parse_args(argv[1:]))
+    return frozenset(
+        action.option_strings[0]
+        for action in command._actions
+        if action.option_strings and action.dest in given
+    )
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -1006,6 +1033,22 @@ def _bench_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
+#: the flags only the precision table, --incremental or --scale reads
+_TABLE_FLAGS = (
+    "--engines", "--programs", "--deadline", "--max-steps",
+    "--max-structures", "--ladder",
+)
+_INCREMENTAL_FLAGS = (
+    "--seeds", "--edits", "--edit-seed", "--distances", "--reps",
+    "--min-speedup",
+)
+_SCALE_FLAGS = (
+    "--scale-sizes", "--families", "--scale-engines", "--scale-seed",
+    "--superlinear-factor", "--warm-cold-target", "--no-warm-cold",
+    "--min-warm-speedup",
+)
+
+
 def _bench(args: argparse.Namespace) -> int:
     """Benchmark the suite: precision table, --incremental or --scale.
 
@@ -1022,21 +1065,25 @@ def _bench(args: argparse.Namespace) -> int:
         run_scale,
     )
 
+    def given(flags):
+        return [(flag, flag in args.given or None) for flag in flags]
+
     if args.scale or args.incremental:
         _reject_unhonoured(
             "--scale" if args.scale else "--incremental",
-            (
-                ("--spec", args.scale and args.spec != DEFAULT_SPEC or None),
-                ("--engines", args.engines),
-                ("--programs", args.programs),
-                ("--deadline", args.deadline),
-                ("--max-steps", args.governor_steps),
-                ("--max-structures", args.max_structures),
-                ("--ladder", args.ladder),
-            ),
+            [("--spec", args.scale and args.spec != DEFAULT_SPEC or None)]
+            + given(_TABLE_FLAGS)
+            + given(_SCALE_FLAGS if args.incremental else _INCREMENTAL_FLAGS),
             "only the precision table reads --engines, --programs and the "
-            "governor flags, and --scale certifies CMP clients only "
-            "(its engines are --scale-engines)",
+            "governor flags, --scale certifies CMP clients only (its "
+            "engines are --scale-engines), and each of --scale and "
+            "--incremental reads only its own flags",
+        )
+    else:
+        _reject_unhonoured(
+            "the precision table",
+            given(_INCREMENTAL_FLAGS + _SCALE_FLAGS),
+            "those flags configure --incremental or --scale",
         )
     if (
         args.json not in (None, "-")

@@ -132,6 +132,10 @@ def recertify(
                 "abstraction_hash"
             ):
                 raise _Fallback("abstraction-mismatch")
+            annotation = parent.payload["annotation"]
+            # decline a parent from another universe before paying for
+            # its parse and build
+            _guard_universe(engine, arts, annotation)
             cache = _parent_cache(session, parent)
             parent_program = cache.get("program")
             if parent_program is None:
@@ -147,7 +151,6 @@ def recertify(
             )
             if governor is None:
                 governor = session._make_governor()
-            annotation = parent.payload["annotation"]
             if engine in ("fds", "relational"):
                 report, capture, clean, total = _recertify_bool(
                     session, engine, arts, parent_arts, annotation, governor
@@ -174,16 +177,40 @@ def recertify(
         return None
 
 
+def _guard_universe(engine: str, arts, annotation) -> None:
+    """The universe checks that need only the child's artifacts and the
+    parent's annotation: its variable count (fds, relational), or the
+    predicates its TVLA pool names.  A malformed pool is left to the
+    decoding step, which reports it."""
+    if engine in ("fds", "relational"):
+        if annotation.get("kind") != engine:
+            raise _Fallback("annotation-kind")
+        if annotation.get("num_vars") != arts["boolprog"].num_vars:
+            raise _Fallback("universe-mismatch")
+    elif engine.startswith("tvla-"):
+        if annotation.get("kind") != "tvla" or annotation.get(
+            "mode"
+        ) != arts["mode"]:
+            raise _Fallback("annotation-kind")
+        try:
+            named = {
+                entry[0]
+                for structure in annotation.get("pool", [])
+                for table in ("nullary", "unary", "binary")
+                for entry in structure[table]
+            }
+        except (KeyError, TypeError, IndexError):
+            return
+        if not named <= arts["tvp"].predicates.keys():
+            raise _Fallback("universe-mismatch")
+
+
 # -- family drivers ---------------------------------------------------------
 
 
 def _recertify_bool(session, engine, arts, parent_arts, annotation, governor):
     boolprog = arts["boolprog"]
     old = parent_arts["boolprog"]
-    if annotation.get("kind") != engine:
-        raise _Fallback("annotation-kind")
-    if annotation.get("num_vars") != boolprog.num_vars:
-        raise _Fallback("universe-mismatch")
     if old.num_vars != boolprog.num_vars or tuple(
         str(i) for i in old.instances()
     ) != tuple(str(i) for i in boolprog.instances()):
@@ -262,8 +289,6 @@ def _recertify_tvla(session, arts, parent_arts, annotation, governor, cache):
     tvp = arts["tvp"]
     old = parent_arts["tvp"]
     mode = arts["mode"]
-    if annotation.get("kind") != "tvla" or annotation.get("mode") != mode:
-        raise _Fallback("annotation-kind")
     if old.predicates != tvp.predicates:
         raise _Fallback("universe-mismatch")
     if getattr(old, "initially_true_nullary", None) != getattr(

@@ -10,7 +10,7 @@ import json
 
 import pytest
 
-from repro.cli import main
+from repro.cli import main, parse_args
 
 
 def _run_json(capsys, argv):
@@ -122,6 +122,74 @@ class TestBenchCli:
         assert f"conflict(s) with {mode}" in err
         for flag in named:
             assert flag in err
+
+    @pytest.mark.parametrize(
+        "mode, flags, named",
+        [
+            (
+                [],
+                ["--seeds", "8", "--scale-sizes", "5", "--min-speedup", "9"],
+                ["--seeds", "--scale-sizes", "--min-speedup"],
+            ),
+            ([], ["--no-warm-cold"], ["--no-warm-cold"]),
+            # a flag given at its default value counts as given
+            ([], ["--edits", "5", "--scale-seed", "1"], ["--edits", "--scale-seed"]),
+            # an abbreviation names its flag
+            ([], ["--superlinear", "2"], ["--superlinear-factor"]),
+            (
+                ["--incremental"],
+                ["--scale-sizes", "5", "--families", "deep-calls"],
+                ["--scale-sizes", "--families"],
+            ),
+            (
+                ["--incremental"],
+                ["--min-warm-speedup", "2", "--warm-cold-target", "9"],
+                ["--min-warm-speedup", "--warm-cold-target"],
+            ),
+            (
+                ["--scale"],
+                ["--seeds", "2", "--reps", "1", "--distances", "1"],
+                ["--seeds", "--reps", "--distances"],
+            ),
+            (
+                ["--scale"],
+                ["--edit-seed", "0", "--min-speedup", "2"],
+                ["--edit-seed", "--min-speedup"],
+            ),
+        ],
+    )
+    def test_flags_of_another_mode_exit_2(self, capsys, mode, flags, named):
+        # these used to run the mode with the flags silently ignored
+        assert main(["bench", *mode, *flags, "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert f"conflict(s) with {mode[0] if mode else 'the precision table'}" in err
+        for flag in named:
+            assert flag in err
+
+    def test_precision_table_takes_its_own_flags(self, capsys):
+        exit_code, payload = _run_json(
+            capsys,
+            [
+                "bench",
+                "--engines",
+                "fds",
+                "--programs",
+                "fig3",
+                "--spec",
+                "cmp",
+                "--check",
+                "--json",
+                "-",
+                "--quiet",
+            ],
+        )
+        assert exit_code == 0
+        assert payload["kind"] == "precision"
+
+    def test_given_options_come_from_argv(self):
+        args = parse_args(["bench", "--incremental", "--seeds", "8", "--reps=5"])
+        assert args.given == {"--incremental", "--seeds", "--reps"}
+        assert (args.seeds, args.edits, args.reps) == (8, 5, 5)
 
     def test_scale_and_incremental_are_exclusive(self, capsys):
         # this used to run only the scale bench

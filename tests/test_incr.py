@@ -208,6 +208,46 @@ class TestIncrementalEquality:
             == sessions().certify(renamed, "fds").certificate.text()
         )
 
+    @pytest.mark.parametrize(
+        "engine", ["fds", "relational", "tvla-relational", "tvla-independent"]
+    )
+    def test_other_universe_is_declined_before_parsing_the_parent(
+        self, engine, sessions, monkeypatch
+    ):
+        from repro.incr import core
+        from repro.runtime.trace import CollectingTracer, use_tracer
+
+        child = generate_client(2)
+        # one more variable: the parent's annotation counts another
+        # variable universe, and its TVLA pool names the variable's
+        # predicate, which the child's TVP lacks
+        base = tail_insert(child, "    Set extra = new Set();")
+        session = sessions()
+        parent = session.certify(base, engine).certificate
+        parsed = []
+        parse = core.parse_program
+
+        def recording_parse(source, spec):
+            parsed.append(source)
+            return parse(source, spec)
+
+        monkeypatch.setattr(core, "parse_program", recording_parse)
+        tracer = CollectingTracer()
+        with use_tracer(tracer):
+            report = session.certify(child, engine, incremental_from=parent)
+        assert base not in parsed
+        reasons = [
+            event.meta["reason"]
+            for event in tracer.events
+            if event.phase == "incremental-fallback"
+        ]
+        assert reasons == ["universe-mismatch"]
+        assert report.stats.get("incremental") is None
+        assert (
+            report.certificate.text()
+            == sessions().certify(child, engine).certificate.text()
+        )
+
     def test_options_carry_the_parent_too(self, cmp_specification):
         base = generate_client(2)
         parent = (

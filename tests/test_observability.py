@@ -92,6 +92,43 @@ class TestPhaseTracing:
         assert validate_trace_record({"phase": "x", "seconds": 1}) != []
 
 
+class TestCallPlanCounters:
+    def test_fixpoint_and_check_phases_count_call_plans(self, cmp_specification):
+        from repro.api import CertifyOptions, CertifySession
+        from repro.bench.synthetic import make_shared_library
+        from repro.cert import CertificateChecker
+        from repro.cert.model import DETERMINISTIC_STATS
+
+        session = CertifySession(
+            cmp_specification, options=CertifyOptions(emit_certificate=True)
+        )
+        checker = CertificateChecker()
+        counted = []
+        for client_seed in (1, 2):
+            source = make_shared_library(200, seed=0, client_seed=client_seed)
+            tracer = CollectingTracer()
+            with use_tracer(tracer):
+                report = session.certify(source, "interproc")
+                assert checker.check(report.certificate).ok
+            (fixpoint,) = [
+                e for e in tracer.events
+                if e.phase == "fixpoint" and e.meta.get("engine") == "interproc"
+            ]
+            (check,) = [e for e in tracer.events if e.phase == "check"]
+            counted.append((fixpoint.meta, check.meta))
+            assert "call_plans_built" not in report.certificate.payload["stats"]
+        names = ("call_plans_built", "call_plans_reused")
+        assert not set(names) & set(DETERMINISTIC_STATS)
+        (first_fix, first_check), (second_fix, second_check) = counted
+        # the first client compiles plans; the second client's certifier
+        # and checker reuse them from their abstraction's memo
+        assert first_fix["call_plans_built"] > 0
+        assert first_check["call_plans_built"] + first_check["call_plans_reused"] > 0
+        assert second_fix["call_plans_reused"] > second_fix["call_plans_built"]
+        assert second_check["call_plans_reused"] > second_check["call_plans_built"]
+        for meta in (first_fix, first_check, second_fix, second_check):
+            assert all(isinstance(meta[name], int) for name in names)
+
 class TestLRUCache:
     def test_hit_miss_counters(self):
         cache = LRUCache(maxsize=4, name="t")

@@ -10,7 +10,11 @@ warm memo.  These tests pin that the memo changes only speed:
 * emptying the memo when it reaches its cell bound changes no byte;
 * one held checker running interleaved valid and tampered certificates
   returns the verdicts fresh checkers return, and its build cache stays
-  within its bound.
+  within its bound;
+* interprocedural call-site plans are charged against the same cell
+  bound and emptied with the memo, emptying them in the middle of a
+  certification changes no byte, and a held checker applying warm plans
+  returns the verdicts fresh checkers return.
 """
 
 import random
@@ -25,7 +29,11 @@ from repro.bench.synthetic import (
 )
 from repro.cert import CertificateChecker, mutate_certificate
 from repro.certifier import transform
+from repro.certifier.interproc import InterproceduralCertifier
+from repro.derivation import derive
+from repro.lang import parse_program
 from repro.runtime.cache import LRUCache
+from repro.runtime.trace import CollectingTracer, use_tracer
 from repro.suite import by_name
 
 ENGINES = ("fds", "relational", "interproc")
@@ -168,3 +176,70 @@ def test_checker_build_cache_is_bounded():
     checker = CertificateChecker()
     assert isinstance(checker._builds, LRUCache)
     assert checker._builds.maxsize == DEFAULT_CACHE_SIZE
+
+
+def test_call_plans_count_towards_the_cell_bound(cmp_specification, monkeypatch):
+    abstraction = derive(cmp_specification, identity_families=True)
+    program = parse_program(
+        make_shared_library(200, seed=0, client_seed=1), cmp_specification
+    )
+    InterproceduralCertifier(program, abstraction).certify()
+    memo = abstraction.transform_memo
+    instances = sum(len(u.instances) for u in memo.universes.values())
+    plan_cells = sum(plan.cells for plan in memo.plans.values())
+    assert memo.plans and plan_cells > 0
+    assert memo.cells >= instances + plan_cells
+    # the next charge past the bound empties plans with the universes
+    monkeypatch.setattr(transform, "_MEMO_CELLS", memo.cells)
+    memo.charge(1)
+    assert (memo.cells, memo.universes, memo.plans) == (1, {}, {})
+
+
+def test_emptying_plans_mid_run_changes_no_byte(cmp_specification, monkeypatch):
+    clients = _clients("interproc")
+    unbounded = _texts(_session(cmp_specification), clients, "interproc")
+    emptied = []
+    charge = transform._TransformMemo.charge
+
+    def counting_charge(memo, cells):
+        if memo.plans and memo.cells + cells > transform._MEMO_CELLS:
+            emptied.append(len(memo.plans))
+        charge(memo, cells)
+
+    # room for a client's universes and a share of its plans, so the
+    # memo empties while a certification is compiling plans
+    monkeypatch.setattr(transform, "_MEMO_CELLS", 400)
+    monkeypatch.setattr(transform._TransformMemo, "charge", counting_charge)
+    assert _texts(_session(cmp_specification), clients, "interproc") == unbounded
+    assert emptied
+
+
+def test_held_checker_with_warm_plans_matches_fresh_checkers(cmp_specification):
+    session = _session(cmp_specification)
+    rng = random.Random(29)
+    payloads = []
+    for source in _clients("interproc")[-5:]:
+        payload = session.certify(source, "interproc").certificate.payload
+        payloads.append(payload)
+        for kind in ("strengthen", "verdict"):
+            payloads.append(mutate_certificate(payload, rng, kind)[0])
+    held = CertificateChecker()
+    tracer = CollectingTracer()
+    rejected = 0
+    for payload in payloads:
+        with use_tracer(tracer):
+            verdict = held.check(payload)
+        fresh = CertificateChecker().check(payload)
+        assert (verdict.ok, verdict.kind, verdict.edge) == (
+            fresh.ok,
+            fresh.kind,
+            fresh.edge,
+        )
+        rejected += not verdict.ok
+    assert rejected >= len(payloads) * 2 // 3
+    reused = sum(
+        event.meta.get("call_plans_reused", 0)
+        for event in tracer.events
+        if event.phase == "check"
+    )
+    assert reused > 0
