@@ -16,6 +16,11 @@ fixpoint, one linear pass over the CFG edges suffices —
    was last evaluated on its source's final state, so the replay sees
    precisely what the analyzer saw).
 
+For fds and interproc the first two steps are
+:func:`repro.certifier.boolprog.replay`, the pass the summary database
+runs on every stored context; interproc looks each callee context up in
+the certificate and requires every exit mask within its summary.
+
 Accept/reject is typed (:class:`CheckResult`); a reject carries the
 first violating edge.  The checker keeps an internal
 :class:`~repro.api.CertifySession` per (spec, options) so that checking
@@ -27,6 +32,7 @@ advantage comes from.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Dict, List, Optional, Tuple
 
 from repro.api import (
@@ -37,6 +43,7 @@ from repro.api import (
 )
 from repro.cert import model
 from repro.cert.model import CertificateError, ConformanceCertificate
+from repro.certifier.boolprog import Violation, replay
 from repro.certifier.fds import FdsSolver
 from repro.certifier.interproc import InterproceduralCertifier
 from repro.certifier.relational import RelationalSolver
@@ -344,7 +351,10 @@ class CertificateChecker:
 
     # -- family passes ------------------------------------------------------
 
-    def _decode_boolprog_masks(self, boolprog, annotation):
+    def _check_fds(self, session, arts, annotation):
+        boolprog = arts["boolprog"]
+        if annotation.get("kind") != "fds":
+            raise _Reject("malformed", "annotation kind is not 'fds'")
         if annotation.get("num_vars") != boolprog.num_vars:
             raise _Reject(
                 "malformed",
@@ -352,56 +362,18 @@ class CertificateChecker:
                 f"transformation produced {boolprog.num_vars}",
             )
         masks = model.decode_masks(annotation["nodes"])
-        limit = 1 << boolprog.num_vars
-        valid = set(boolprog.nodes())
-        for node, (one, zero) in masks.items():
-            if node not in valid:
-                raise _Reject("malformed", f"annotation names unknown node {node}")
-            if one >= limit or zero >= limit:
-                raise _Reject(
-                    "malformed", f"mask bits beyond num_vars at node {node}"
-                )
-        return masks
-
-    def _check_fds(self, session, arts, annotation):
-        boolprog = arts["boolprog"]
-        if annotation.get("kind") != "fds":
-            raise _Reject("malformed", "annotation kind is not 'fds'")
-        masks = self._decode_boolprog_masks(boolprog, annotation)
-        may_one = {node: pair[0] for node, pair in masks.items()}
-        may_zero = {node: pair[1] for node, pair in masks.items()}
-        all_vars = (1 << boolprog.num_vars) - 1
         init_one = boolprog.initial_mask()
-        init_zero = all_vars & ~init_one
-        if init_one & ~may_one.get(boolprog.entry, 0) or init_zero & ~may_zero.get(
-            boolprog.entry, 0
-        ):
-            raise _Reject(
-                "entry", "entry annotation does not cover the initial valuation"
-            )
-        solver = FdsSolver(prune_requires=session.options.prune_requires)
-        checked = 0
-        for edge in boolprog.edges:
-            if edge.src not in masks:
-                continue  # claimed unreachable; closure makes this sound
-            transferred = solver._transfer(
-                edge, may_one[edge.src], may_zero[edge.src]
-            )
-            checked += 1
-            if transferred is None:
-                continue  # the edge definitely throws: no flow to subsume
-            new_one, new_zero = transferred
-            if new_one & ~may_one.get(edge.dst, 0) or new_zero & ~may_zero.get(
-                edge.dst, 0
-            ):
-                raise _Reject(
-                    "not-inductive",
-                    f"transfer along edge {edge.src}->{edge.dst} is not "
-                    "subsumed by the successor annotation",
-                    edge=(edge.src, edge.dst),
-                )
-        alarms = solver._collect_alarms(boolprog, may_one, may_zero, None)
-        return alarms, len(masks), checked
+        init_zero = ((1 << boolprog.num_vars) - 1) & ~init_one
+        prune = session.options.prune_requires
+        outcome = replay(boolprog, masks, init_one, init_zero, prune)
+        if isinstance(outcome, Violation):
+            raise _Reject(*outcome)
+        alarms = FdsSolver._collect_alarms(
+            boolprog,
+            {node: pair[0] for node, pair in masks.items()},
+            {node: pair[1] for node, pair in masks.items()},
+        )
+        return alarms, len(masks), boolprog.edges_leaving(masks)
 
     def _check_relational(self, session, arts, annotation):
         boolprog = arts["boolprog"]
@@ -462,14 +434,14 @@ class CertificateChecker:
 
     def _replay_interproc(self, session, certifier, annotation):
         try:
-            contexts: Dict[Tuple[str, int], dict] = {}
+            contexts: Dict[Tuple[str, int], tuple] = {}
             for ctx in annotation["contexts"]:
                 key = (str(ctx["method"]), int(ctx["entry"], 16))
-                contexts[key] = {
-                    "masks": model.decode_masks(ctx["nodes"]),
-                    "summary": int(ctx["summary"], 16),
-                    "num_vars": ctx["num_vars"],
-                }
+                contexts[key] = (
+                    model.decode_masks(ctx["nodes"]),
+                    int(ctx["summary"], 16),
+                    ctx["num_vars"],
+                )
         except (KeyError, TypeError, ValueError) as error:
             raise _Reject("malformed", f"bad interproc context: {error}")
         entry_name = session.options.entry
@@ -489,7 +461,8 @@ class CertificateChecker:
         alarms: Dict[Tuple[int, str], object] = {}
         total_nodes = 0
         checked = 0
-        for (method, entry_vector), data in sorted(contexts.items()):
+        for (method, entry_vector), context in sorted(contexts.items()):
+            masks, summary, num_vars = context
             try:
                 space = certifier.space(method)
             except Exception as error:
@@ -497,82 +470,42 @@ class CertificateChecker:
                     "malformed", f"unknown context method {method!r}: {error}"
                 )
             boolprog = space.boolprog
-            all_vars = (1 << boolprog.num_vars) - 1
-            if data["num_vars"] != boolprog.num_vars:
+            if num_vars != boolprog.num_vars:
                 raise _Reject(
                     "malformed", f"variable count mismatch in {method}"
                 )
-            masks = data["masks"]
-            valid = set(boolprog.nodes())
-            for node, (one, zero) in masks.items():
-                if node not in valid or one > all_vars or zero > all_vars:
-                    raise _Reject(
-                        "malformed", f"bad node annotation {node} in {method}"
-                    )
-            total_nodes += len(masks)
-            states = {node: pair[0] for node, pair in masks.items()}
-            zeros = {node: pair[1] for node, pair in masks.items()}
-            if entry_vector & ~states.get(boolprog.entry, 0):
-                raise _Reject(
-                    "entry",
-                    f"context {method} entry annotation does not cover its "
-                    "entry vector",
-                )
-            init_zero = (
-                all_vars & ~entry_vector
-                if (method, entry_vector) == root
-                else all_vars
+
+            def callee_summary(edge, stm, mask):
+                plan = certifier.call_plan(space, edge.src, edge.dst, stm)
+                callee = contexts.get((stm.callee, plan.entry(mask)))
+                if callee is None:
+                    return None
+                return plan.ret(mask, callee[1])
+
+            all_vars = (1 << boolprog.num_vars) - 1
+            if (method, entry_vector) == root:
+                entry_zero = all_vars & ~entry_vector
+            else:
+                entry_zero = all_vars
+            outcome = replay(
+                boolprog, masks, entry_vector, entry_zero,
+                session.options.prune_requires, space.call_map(),
+                callee_summary,
+                partial(certifier.record_alarms, boolprog, method, alarms),
             )
-            if init_zero & ~zeros.get(boolprog.entry, 0):
+            if isinstance(outcome, Violation):
+                kind, detail, edge = outcome
                 raise _Reject(
-                    "entry",
-                    f"context {method} entry annotation drops may-0 bits",
+                    kind, f"{method}: {detail}", edge and (method, *edge)
                 )
-            calls = {(src, dst): stm for src, dst, stm in space.call_edges}
-            for edge in boolprog.edges:
-                if edge.src not in masks:
-                    continue
-                mask = states[edge.src]
-                zmask = zeros[edge.src]
-                stm = calls.get((edge.src, edge.dst))
-                if stm is not None:
-                    plan = certifier.call_plan(space, edge.src, edge.dst, stm)
-                    callee_key = (stm.callee, plan.entry(mask))
-                    callee = contexts.get(callee_key)
-                    if callee is None:
-                        raise _Reject(
-                            "coverage",
-                            f"callee context {stm.callee} (from {method}) "
-                            "is not annotated",
-                            edge=(method, edge.src, edge.dst),
-                        )
-                    out = plan.ret(mask, callee["summary"])
-                    zout = all_vars
-                else:
-                    transferred = certifier.edge_transfer(
-                        boolprog, method, edge, mask, zmask, alarms
-                    )
-                    if transferred is None:
-                        checked += 1
-                        continue
-                    out, zout = transferred
-                checked += 1
-                if out & ~states.get(edge.dst, 0) or zout & ~zeros.get(
-                    edge.dst, 0
-                ):
-                    raise _Reject(
-                        "not-inductive",
-                        f"{method}: transfer along edge "
-                        f"{edge.src}->{edge.dst} is not subsumed",
-                        edge=(method, edge.src, edge.dst),
-                    )
-            exit_mask = states.get(boolprog.exit, 0)
-            if exit_mask & ~data["summary"]:
+            if outcome & ~summary:
                 raise _Reject(
                     "not-inductive",
                     f"{method}: summary does not cover the exit annotation",
                     edge=(method, boolprog.exit),
                 )
+            total_nodes += len(masks)
+            checked += boolprog.edges_leaving(masks)
         alarm_list = sorted(
             alarms.values(), key=lambda a: (a.site_id, a.instance)
         )
@@ -757,3 +690,4 @@ class CertificateChecker:
             )
         alarms.sort(key=lambda a: a.site_id)
         return alarms, len(states), checked
+

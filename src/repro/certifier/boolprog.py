@@ -12,12 +12,18 @@ A transformed client is a CFG whose edges carry:
 
 Variables are instrumentation-predicate *instances*: a family applied to a
 tuple of client variable names (``stale[i2]``, ``iterof[i1, v]``, …).
+
+The module also holds the one may-1 / may-0 edge :func:`transfer` and the
+one linear :func:`replay` that confirms per-node masks are inductive: the
+FDS solver, the interprocedural tabulation, the summary database and the
+certificate checker all run these two.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping, NamedTuple
+from typing import Optional, Sequence, Tuple, Union
 
 
 @dataclass(frozen=True)
@@ -121,12 +127,25 @@ class BoolProgram:
     def out_edges(self, node: int) -> List[BoolEdge]:
         return self._out.get(node, [])
 
+    def has_node(self, node: int) -> bool:
+        return (
+            node in self._out
+            or node == self.entry
+            or node == self.exit
+            or any(edge.dst == node for edge in self.edges)
+        )
+
     def nodes(self) -> List[int]:
         found = {self.entry, self.exit}
         for edge in self.edges:
             found.add(edge.src)
             found.add(edge.dst)
         return sorted(found)
+
+    def edges_leaving(self, nodes: Iterable[int]) -> int:
+        """How many edges leave ``nodes``: the transfers a successful
+        :func:`replay` over masks annotating ``nodes`` runs."""
+        return sum(len(self._out.get(node, ())) for node in nodes)
 
     def initial_mask(self) -> int:
         mask = 0
@@ -159,3 +178,124 @@ class BoolProgram:
             label = "; ".join(parts) if parts else "nop"
             lines.append(f"  {edge.src} --[{label}]--> {edge.dst}")
         return "\n".join(lines)
+
+
+# -- the may-1 / may-0 transfer and its replay -----------------------------------
+
+
+def transfer(
+    edge: BoolEdge, one: int, zero: int, prune: bool
+) -> Optional[Tuple[int, int]]:
+    """The (may-1, may-0) masks after ``edge``, or ``None`` when, under
+    ``prune``, a checked predicate is definitely 1: the component throws
+    on every execution reaching the edge.  A passing check leaves its
+    predicate 0; may-0 is over-approximated per source."""
+    if prune:
+        for check in edge.checks:
+            if not zero >> check.var & 1:
+                return None
+            one &= ~(1 << check.var)
+            zero |= 1 << check.var
+    new_one, new_zero = one, zero
+    for assign in edge.assigns:
+        bit = 1 << assign.target
+        if assign.const_true or any(
+            one >> source & 1 for source in assign.sources
+        ):
+            new_one |= bit
+        else:
+            new_one &= ~bit
+        if not assign.const_true and all(
+            zero >> source & 1 for source in assign.sources
+        ):
+            new_zero |= bit
+        else:
+            new_zero &= ~bit
+    return new_one, new_zero
+
+
+class Violation(NamedTuple):
+    """The first thing :func:`replay` found wrong with a set of masks,
+    in the certificate checker's reject vocabulary."""
+
+    kind: str
+    detail: str
+    edge: Optional[Tuple[int, int]] = None
+
+
+_NO_MASKS = (0, 0)
+
+
+def replay(
+    program: BoolProgram,
+    masks: Mapping[int, Tuple[int, int]],
+    entry_one: int,
+    entry_zero: int,
+    prune: bool,
+    calls: Optional[Mapping[Tuple[int, int], object]] = None,
+    call_return: Optional[Callable[..., Optional[int]]] = None,
+    alarm: Optional[Callable[[BoolEdge, int], None]] = None,
+) -> Union[Violation, int]:
+    """One linear pass confirming ``masks`` (node -> (may-1, may-0)) is a
+    post-fixpoint of ``program`` from the seed ``entry_one`` / ``entry_zero``.
+
+    Each edge leaving an annotated node is replayed once, in program
+    order; unannotated nodes are unreachable once the entry is covered
+    and the annotation is transfer-closed.  For an edge in ``calls``,
+    ``call_return(edge, call, may_one)`` gives the may-1 mask after it
+    (``None``: no return) and every bit may be 0 after it; other edges
+    with checks tell ``alarm(edge, may_one)`` their source mask.
+
+    Returns the exit's may-1 mask or the first :class:`Violation`:
+    ``malformed`` for a node the program lacks or a mask outside
+    ``0 .. 2**num_vars - 1``, ``entry`` for a seed bit the entry misses,
+    then per edge ``coverage`` (no return mask) or ``not-inductive``.
+    """
+    all_vars = (1 << program.num_vars) - 1
+    for node, (one, zero) in masks.items():
+        if not program.has_node(node):
+            return Violation(
+                "malformed", f"annotation names unknown node {node}"
+            )
+        if not (0 <= one <= all_vars and 0 <= zero <= all_vars):
+            return Violation(
+                "malformed", f"mask bits beyond num_vars at node {node}"
+            )
+    entry = masks.get(program.entry, _NO_MASKS)
+    if entry_one & ~entry[0]:
+        return Violation(
+            "entry", "entry annotation does not cover the initial valuation"
+        )
+    if entry_zero & ~entry[1]:
+        return Violation("entry", "entry annotation drops initial may-0 bits")
+    for edge in program.edges:
+        source = masks.get(edge.src)
+        if source is None:
+            continue
+        one = source[0]
+        call = calls.get((edge.src, edge.dst)) if calls else None
+        if call is not None:
+            out = call_return(edge, call, one)
+            if out is None:
+                return Violation(
+                    "coverage",
+                    f"no callee summary for the call {edge.src}->{edge.dst}",
+                    (edge.src, edge.dst),
+                )
+            zout = all_vars
+        else:
+            if alarm is not None and edge.checks:
+                alarm(edge, one)
+            transferred = transfer(edge, one, source[1], prune)
+            if transferred is None:
+                continue
+            out, zout = transferred
+        target = masks.get(edge.dst, _NO_MASKS)
+        if out & ~target[0] or zout & ~target[1]:
+            return Violation(
+                "not-inductive",
+                f"transfer along edge {edge.src}->{edge.dst} is not "
+                "subsumed by the successor annotation",
+                (edge.src, edge.dst),
+            )
+    return masks.get(program.exit, _NO_MASKS)[0]

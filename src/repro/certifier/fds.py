@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.certifier.boolprog import BoolEdge, BoolProgram
+from repro.certifier.boolprog import BoolEdge, BoolProgram, transfer
 from repro.certifier.report import Alarm, CertificationReport
 from repro.runtime import guard as _guard
 from repro.runtime.guard import ResourceExhausted, ResourceGovernor
@@ -111,6 +111,7 @@ class FdsSolver:
                 may_one[program.entry] = init_one
                 may_zero[program.entry] = init_zero
                 worklist.push(program.entry)
+        prune = self.prune_requires
         iterations = 0
         try:
             while worklist:
@@ -121,7 +122,7 @@ class FdsSolver:
                 one = may_one.get(node, 0)
                 zero = may_zero.get(node, 0)
                 for edge in program.out_edges(node):
-                    transferred = self._transfer(edge, one, zero)
+                    transferred = transfer(edge, one, zero, prune)
                     if transferred is None:
                         continue  # definite failure: the edge kills all executions
                     new_one, new_zero = transferred
@@ -193,45 +194,8 @@ class FdsSolver:
             fresh >>= 1
             var += 1
 
-    # -- transfer functions ------------------------------------------------------
-
-    def _transfer(
-        self, edge: BoolEdge, one: int, zero: int
-    ) -> Optional[Tuple[int, int]]:
-        if self.prune_requires:
-            for check in edge.checks:
-                if not zero >> check.var & 1:
-                    # the checked predicate is 1 on every execution
-                    # reaching this edge: the component definitely
-                    # throws, so no execution survives the operation
-                    # (mirrors the relational solver dropping every
-                    # failing valuation)
-                    return None
-                one &= ~(1 << check.var)
-                zero |= 1 << check.var
-        new_one, new_zero = one, zero
-        for assign in edge.assigns:
-            bit = 1 << assign.target
-            target_one = assign.const_true or any(
-                one >> source & 1 for source in assign.sources
-            )
-            # may-0: constant 1 forces 1; otherwise 0 is possible whenever
-            # every source may (independently) be 0 — an over-approximation
-            target_zero = not assign.const_true and all(
-                zero >> source & 1 for source in assign.sources
-            )
-            if target_one:
-                new_one |= bit
-            else:
-                new_one &= ~bit
-            if target_zero:
-                new_zero |= bit
-            else:
-                new_zero &= ~bit
-        return new_one, new_zero
-
+    @staticmethod
     def _collect_alarms(
-        self,
         program: BoolProgram,
         may_one: Dict[int, int],
         may_zero: Dict[int, int],

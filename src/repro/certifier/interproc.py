@@ -41,9 +41,10 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.certifier.boolprog import BoolProgram, Instance
+from repro.certifier.boolprog import BoolProgram, Instance, replay, transfer
 from repro.certifier.callplan import (
     FALSE,
     TRUE,
@@ -164,6 +165,10 @@ class ProcSpace:
     universe: object
     #: call edge (src, dst) -> its compiled plan, filled on first use
     plans: Dict[Tuple[int, int], CallPlan] = field(default_factory=dict)
+
+    def call_map(self) -> Dict[Tuple[int, int], SCallClient]:
+        """Call edge (src, dst) -> its call statement."""
+        return {(src, dst): stm for src, dst, stm in self.call_edges}
 
 
 def _binding(
@@ -985,19 +990,20 @@ class InterproceduralCertifier:
     # entry fingerprint): the local least fixpoint is a monotone join
     # over a finite lattice, so it is schedule-independent, and callee
     # exits feeding it are themselves keyed summaries.  The consumer
-    # never trusts a stored payload — `_validate_summary` replays one
-    # linear pass over the recorded masks (the certificate checker's
-    # no-fixpoint discipline) and anything non-inductive is discarded
-    # and recomputed.  An honest store therefore reproduces the cold
-    # run's fixpoint bit-for-bit; a tampered-but-inductive payload can
-    # only over-approximate it (sound, extra alarms at worst).
+    # never trusts a stored payload — `_validate_summary` runs the
+    # certificate checker's own pass (`boolprog.replay`) over the
+    # recorded masks, and anything it rejects is discarded and
+    # recomputed.  An honest store therefore reproduces the cold run's
+    # fixpoint bit-for-bit; a tampered-but-inductive payload can only
+    # over-approximate it (sound, extra alarms at worst).
 
     def _analysis_key(self) -> str:
         """Hash of everything global to this analysis configuration."""
         if self._analysis_key_memo is None:
             # local import: repro.cert pulls in the checker, which
-            # imports this module (certificate replay shares
-            # `edge_transfer`) — a top-level import would cycle
+            # imports this module (it replays interproc certificates over
+            # these fact spaces and call plans) — a top-level import
+            # would cycle
             from repro.cert import model
             from repro.store.summary import summary_analysis_key
 
@@ -1152,12 +1158,13 @@ class InterproceduralCertifier:
         alarms,
         visiting,
     ) -> bool:
-        """One linear inductiveness pass over a stored context summary.
+        """Install a stored context summary if the checker's replay
+        accepts it.
 
-        Mirrors the certificate checker: no fixpoint is run — every
-        recorded edge transfer must already be subsumed by the recorded
-        successor masks, the entry masks must cover the context's seed,
-        and the recorded exit must equal the summary value.  Alarms are
+        No fixpoint runs: :func:`replay` confirms the recorded masks are
+        inductive from the context's seed, a call edge is discharged only
+        by a recursively loaded and validated callee summary, and the
+        recorded exit must equal the exit node's may-1 mask.  Alarms are
         regenerated into a scratch dict and merged only on success, so a
         rejected payload leaves no trace.
         """
@@ -1166,7 +1173,6 @@ class InterproceduralCertifier:
         qualified, entry_vector = key
         space = self.space(qualified)
         boolprog = space.boolprog
-        all_vars = (1 << boolprog.num_vars) - 1
         try:
             if payload.get("v") != SUMMARY_FORMAT:
                 return False
@@ -1183,62 +1189,37 @@ class InterproceduralCertifier:
             exit_mask = int(payload["exit"], 16)
         except (AttributeError, KeyError, TypeError, ValueError):
             return False
-        for table in (states, zeros):
-            for mask in table.values():
-                if mask & ~all_vars:
-                    return False
-        if exit_mask & ~all_vars:
+        if states.keys() != zeros.keys():
             return False
-        # entry coverage: the recorded entry masks must subsume the seed
-        if states.get(boolprog.entry, 0) & entry_vector != entry_vector:
-            return False
-        if zeros.get(boolprog.entry, 0) & entry_zeros != entry_zeros:
-            return False
-        calls = {(src, dst): stm for src, dst, stm in space.call_edges}
-        scratch: Dict[Tuple[int, str], Alarm] = {}
+        masks = {node: (one, zeros[node]) for node, one in states.items()}
         governor = self.governor
-        for node in set(states) | set(zeros):
-            if governor is not None:
+        if governor is not None:
+            for _node in masks:  # one step per node, as the tabulation
                 governor.tick()
-            mask = states.get(node, 0)
-            zmask = zeros.get(node, all_vars)
-            for edge in boolprog.out_edges(node):
-                self.stats["edge_visits"] += 1
-                call_stm = calls.get((edge.src, edge.dst))
-                if call_stm is not None:
-                    plan = self.call_plan(space, edge.src, edge.dst, call_stm)
-                    callee_key = (call_stm.callee, plan.entry(mask))
-                    callee_all = (
-                        1 << self.space(call_stm.callee).boolprog.num_vars
-                    ) - 1
-                    # only a *validated* callee summary may discharge a
-                    # call edge: computed-in-progress values are partial
-                    # and would make the subsumption check vacuous
-                    if not self._try_load_summary(
-                        callee_key,
-                        callee_all,
-                        memo,
-                        node_states,
-                        node_zeros,
-                        alarms,
-                        visiting,
-                    ):
-                        return False
-                    out = plan.ret(mask, memo[callee_key])
-                    zout = all_vars
-                else:
-                    transferred = self.edge_transfer(
-                        boolprog, qualified, edge, mask, zmask, scratch
-                    )
-                    if transferred is None:
-                        continue  # the edge definitely throws: no flow
-                    out, zout = transferred
-                if out & ~states.get(edge.dst, 0):
-                    return False
-                if zout & ~zeros.get(edge.dst, 0):
-                    return False
-        if states.get(boolprog.exit, 0) != exit_mask:
+
+        def callee_return(edge, stm, mask):
+            plan = self.call_plan(space, edge.src, edge.dst, stm)
+            callee_key = (stm.callee, plan.entry(mask))
+            callee_all = (1 << self.space(stm.callee).boolprog.num_vars) - 1
+            # only a *validated* callee summary may discharge a call
+            # edge: computed-in-progress values are partial and would
+            # make the subsumption check vacuous
+            if not self._try_load_summary(
+                callee_key, callee_all, memo, node_states, node_zeros,
+                alarms, visiting,
+            ):
+                return None
+            return plan.ret(mask, memo[callee_key])
+
+        scratch: Dict[Tuple[int, str], Alarm] = {}
+        # a Violation never equals a mask
+        if exit_mask != replay(
+            boolprog, masks, entry_vector, entry_zeros, self.prune_requires,
+            space.call_map(), callee_return,
+            partial(self.record_alarms, boolprog, qualified, scratch),
+        ):
             return False
+        self.stats["edge_visits"] += boolprog.edges_leaving(masks)
         # inductive: install as this context's final fixpoint
         if key not in memo:
             self.stats["contexts"] += 1
@@ -1305,9 +1286,7 @@ class InterproceduralCertifier:
         states[boolprog.entry] = states.get(boolprog.entry, 0) | entry_vector
         zeros = node_zeros.setdefault(key, {})
         zeros.setdefault(boolprog.entry, all_vars)
-        calls = {
-            (src, dst): stm for src, dst, stm in space.call_edges
-        }
+        calls = space.call_map()
         # seed every call-site source already reached: a re-analysis may be
         # triggered by an improved *callee* summary with unchanged caller
         # states, and the call edge must then be re-executed
@@ -1318,6 +1297,7 @@ class InterproceduralCertifier:
         for seed in seeds:
             local_work.push(seed)
         governor = self.governor
+        prune = self.prune_requires
         while local_work:
             if governor is not None:
                 governor.tick()
@@ -1336,9 +1316,11 @@ class InterproceduralCertifier:
                         continue  # callee summary not yet available
                     zout = all_vars  # callee effects: nothing stays definite
                 else:
-                    transferred = self.edge_transfer(
-                        boolprog, qualified, edge, mask, zmask, alarms
-                    )
+                    if edge.checks:
+                        self.record_alarms(
+                            boolprog, qualified, alarms, edge, mask
+                        )
+                    transferred = transfer(edge, mask, zmask, prune)
                     if transferred is None:
                         continue
                     out, zout = transferred
@@ -1359,55 +1341,25 @@ class InterproceduralCertifier:
             return True
         return False
 
-    def edge_transfer(
-        self, boolprog, qualified, edge, mask, zmask, alarms
-    ) -> Optional[Tuple[int, int]]:
-        """The non-call boolean edge transfer: check alarms, prune, assign.
-
-        Returns the (may-1, may-0) masks after the edge, or ``None`` when
-        the edge definitely throws and kills every execution.  Shared by
-        the tabulation and the certificate checker so both replay exactly
-        the same semantics.
-        """
-        out = mask
-        zout = zmask
-        killed = False
+    def record_alarms(
+        self, boolprog, qualified, alarms, edge, mask
+    ) -> None:
+        """Record an alarm for each check of ``edge`` whose predicate may
+        be 1 in the source mask.  Under pruning a passing check leaves
+        its predicate 0, so a later check of it on the same edge is
+        read from the cleared mask — as :func:`transfer` does."""
         for check in edge.checks:
-            if out >> check.var & 1:
-                alarm_key = (
-                    check.site_id,
-                    str(boolprog.instance(check.var)),
-                )
-                alarms[alarm_key] = Alarm(
+            if mask >> check.var & 1:
+                instance = str(boolprog.instance(check.var))
+                alarms[(check.site_id, instance)] = Alarm(
                     site_id=check.site_id,
                     line=check.line,
                     op_key=check.op_key,
-                    instance=str(boolprog.instance(check.var)),
+                    instance=instance,
                     context=qualified,
                 )
             if self.prune_requires:
-                if not zout >> check.var & 1:
-                    # the checked predicate is definitely 1: every
-                    # execution throws here, so nothing flows past this
-                    # edge (mirrors the FDS and relational solvers)
-                    killed = True
-                out &= ~(1 << check.var)
-                zout |= 1 << check.var
-        if killed:
-            return None
-        updated = out
-        zupdated = zout
-        for assign in edge.assigns:
-            bit = 1 << assign.target
-            value = assign.const_true or any(
-                out >> s & 1 for s in assign.sources
-            )
-            zvalue = not assign.const_true and all(
-                zout >> s & 1 for s in assign.sources
-            )
-            updated = updated | bit if value else updated & ~bit
-            zupdated = zupdated | bit if zvalue else zupdated & ~bit
-        return updated, zupdated
+                mask &= ~(1 << check.var)
 
     def _call_transfer(
         self, caller_key, caller_space, edge, caller_mask, stm, memo,

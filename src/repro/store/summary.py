@@ -17,9 +17,9 @@ Nothing else reaches the local fixpoint, so two certification runs that
 agree on all three produce bit-identical summaries — which is what makes
 them safe to share across batch jobs and serve tenants that link the
 same library code.  The consumer never *trusts* a stored summary: the
-certifier replays one linear validity pass over it (the certificate
-checker's no-fixpoint discipline) and discards anything that is not
-inductive.  The store's own integrity layer is therefore a performance
+certifier runs the certificate checker's own linear pass over it
+(:func:`repro.certifier.boolprog.replay`) and discards anything that
+pass rejects.  The store's own integrity layer is therefore a performance
 feature, not a soundness one — but a torn object must still never be
 *served*.
 

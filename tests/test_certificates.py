@@ -196,6 +196,35 @@ class TestMutations:
         if verdict.kind == "not-inductive":
             assert verdict.edge is not None
 
+    @pytest.mark.parametrize("engine", ["fds", "interproc"])
+    def test_negative_masks_rejected(self, emitting_session, checker, engine):
+        """Regression: ``int("-1", 16)`` is -1, which passed the
+        ``mask >= 1 << num_vars`` range check, so a certificate whose
+        may-0 masks were all -1 ("every bit, and more") was accepted."""
+        import copy
+
+        payload = copy.deepcopy(
+            emitting_session.certify(
+                by_name("remove_self_ok").source, engine=engine
+            ).certificate.payload
+        )
+        annotation = payload["annotation"]
+        tables = (
+            [context["nodes"] for context in annotation["contexts"]]
+            if engine == "interproc"
+            else [annotation["nodes"]]
+        )
+        tampered = 0
+        for nodes in tables:
+            for _node, entry in nodes:
+                if "zero" in entry:
+                    entry["zero"] = "-1"
+                    tampered += 1
+        assert tampered
+        verdict = checker.check(payload)
+        assert not verdict.ok
+        assert verdict.kind == "malformed"
+
 
 class TestPartialCertificates:
     def test_breached_run_emits_partial_and_checker_rejects(

@@ -240,6 +240,138 @@ class TestLoadOrComputeProperty:
             assert checker.check(got.certificate).ok
 
 
+def _drop_bit(table, node):
+    """Clear the lowest set bit of ``table[node]``; False if none."""
+    mask = int(table[node], 16)
+    if not mask:
+        return False
+    table[node] = format(mask & (mask - 1), "x")
+    return True
+
+
+def _drop_at_non_entry(field):
+    def tamper(payload):
+        return any(
+            _drop_bit(payload[field], node)
+            for node in sorted(payload[field], key=int)
+            if node != ENTRY_NODE
+        )
+
+    return tamper
+
+
+def _exit_differs(payload):
+    payload["exit"] = format(int(payload["exit"], 16) ^ 1, "x")
+    return True
+
+
+def _bit_beyond_num_vars(payload):
+    node = max(payload["states"], key=int)
+    mask = int(payload["states"][node], 16) | 1 << payload["num_vars"]
+    payload["states"][node] = format(mask, "x")
+    return True
+
+
+def _entry_misses_seed(payload):
+    entry_vector = int(payload["entry"], 16)
+    if not entry_vector:
+        return False
+    mask = int(payload["states"][ENTRY_NODE], 16)
+    payload["states"][ENTRY_NODE] = format(
+        mask & ~(entry_vector & -entry_vector), "x"
+    )
+    return True
+
+
+def _num_vars_mismatch(payload):
+    payload["num_vars"] += 1
+    return True
+
+
+#: node id of every procedure's entry in the interproc boolean programs
+ENTRY_NODE = "0"
+
+#: name -> in-place tampering of one stored context payload; returns
+#: False when the payload offers nothing to tamper with
+SUMMARY_TAMPERS = {
+    "non-inductive-may-one": _drop_at_non_entry("states"),
+    "non-inductive-may-zero": _drop_at_non_entry("zeros"),
+    "exit-differs": _exit_differs,
+    "bit-beyond-num-vars": _bit_beyond_num_vars,
+    "entry-misses-seed": _entry_misses_seed,
+    "num-vars-mismatch": _num_vars_mismatch,
+}
+
+
+class TestTamperedSummaries:
+    """The summary DB never installs a payload its replay rejects: a
+    tampered context is recomputed, so the certificate keeps the cold
+    run's bytes and the checker accepts it."""
+
+    SOURCE = make_shared_library(240, seed=7)
+
+    @pytest.fixture(scope="class")
+    def primed(self, tmp_path_factory):
+        from repro.cert.check import CertificateChecker
+        from repro.store.summary import SummaryStore
+
+        db = str(tmp_path_factory.mktemp("primed") / "db")
+        cold = CertifySession(
+            get_spec("cmp"), engine="interproc",
+            options=CertifyOptions(emit_certificate=True, summary_db=db),
+        ).certify(self.SOURCE)
+        store = SummaryStore(db)
+        store.recover()
+        index_root = os.path.join(db, "index")
+        payloads = {
+            key: store.get(key)
+            for sub in sorted(os.listdir(index_root))
+            for key in sorted(os.listdir(os.path.join(index_root, sub)))
+        }
+        assert len(payloads) > 4
+        return cold.certificate.text(), payloads, CertificateChecker()
+
+    def _warm(self, tmp_path, payloads):
+        from repro.store.summary import SummaryStore
+
+        db = str(tmp_path / "tampered")
+        store = SummaryStore(db)
+        for key, payload in payloads.items():
+            store.put(key, payload)
+        return CertifySession(
+            get_spec("cmp"), engine="interproc",
+            options=CertifyOptions(emit_certificate=True, summary_db=db),
+        ).certify(self.SOURCE)
+
+    def _assert_recomputed(self, primed, report):
+        cold_text, _payloads, checker = primed
+        assert report.stats["summary_rejects"] > 0
+        assert report.certificate.text() == cold_text
+        assert checker.check(report.certificate).ok
+
+    @pytest.mark.parametrize("case", sorted(SUMMARY_TAMPERS))
+    def test_tampered_context_is_recomputed(self, primed, tmp_path, case):
+        payloads = dict(primed[1])
+        for key in sorted(payloads):
+            payload = json.loads(json.dumps(payloads[key]))
+            if SUMMARY_TAMPERS[case](payload):
+                payloads[key] = payload
+                break
+        else:
+            pytest.fail(f"no stored context offers a {case} tampering")
+        self._assert_recomputed(primed, self._warm(tmp_path, payloads))
+
+    def test_node_outside_the_procedure_is_recomputed(self, primed, tmp_path):
+        """Regression: a payload naming node 99999 (no procedure has it)
+        was installed, and the certificate it produced was rejected as
+        ``malformed: bad node annotation``."""
+        payloads = json.loads(json.dumps(primed[1]))
+        for payload in payloads.values():
+            payload["states"]["99999"] = "0"
+            payload["zeros"]["99999"] = "0"
+        self._assert_recomputed(primed, self._warm(tmp_path, payloads))
+
+
 class TestBenchScaleCli:
     def test_scale_json_and_force_guard(self, tmp_path, capsys):
         from repro.cli import bench_main
