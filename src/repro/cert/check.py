@@ -19,14 +19,16 @@ fixpoint, one linear pass over the CFG edges suffices —
 For fds and interproc the first two steps are
 :func:`repro.certifier.boolprog.replay`, the pass the summary database
 runs on every stored context; interproc looks each callee context up in
-the certificate and requires every exit mask within its summary.
+the certificate and requires every exit mask within its summary.  No
+SCMP fixpoint engine is imported: those checks read only
+:mod:`repro.certifier.boolprog` and :mod:`repro.certifier.spaces`.
 
 Accept/reject is typed (:class:`CheckResult`); a reject carries the
-first violating edge.  The checker keeps an internal
-:class:`~repro.api.CertifySession` per (spec, options) so that checking
-many certificates amortizes derivation and transformation the same way
-emission did — that, plus skipping the fixpoint, is where the check-time
-advantage comes from.
+first violating edge.  The checker keeps a
+:class:`~repro.api.CertifySession` per (spec, options), deriving each
+abstraction once, and per recent client only what its replay reads (the
+boolean program, or the fact spaces with their call plans): a re-check
+parses nothing.
 """
 
 from __future__ import annotations
@@ -43,11 +45,16 @@ from repro.api import (
 )
 from repro.cert import model
 from repro.cert.model import CertificateError, ConformanceCertificate
-from repro.certifier.boolprog import Violation, replay
-from repro.certifier.fds import FdsSolver
-from repro.certifier.interproc import InterproceduralCertifier
-from repro.certifier.relational import RelationalSolver
+from repro.certifier.boolprog import (
+    Violation,
+    collect_alarms,
+    record_alarms,
+    replay,
+    valuation_alarms,
+    valuation_transfer,
+)
 from repro.certifier.report import Alarm
+from repro.certifier.spaces import FactSpaces
 from repro.easl.library import UnknownSpecError, get_spec
 from repro.easl.spec import ComponentSpec
 from repro.generic_analysis.framework import (
@@ -108,12 +115,12 @@ class CertificateChecker:
     def __init__(self) -> None:
         self._specs: Dict[str, ComponentSpec] = {}
         self._sessions: Dict[Tuple[str, str], CertifySession] = {}
-        # parse/transform/derivation results are deterministic functions
-        # of (spec, options, engine, source); the source hash is verified
-        # against the embedded text before it is used as a key, so
-        # memoizing them does not extend the trusted base — it only
-        # lets a re-check of a recent client skip parsing.  Bounded, so a
-        # long-lived checker does not grow with every client it sees
+        # what a replay reads is a deterministic function of (spec,
+        # options, engine, source); the source hash is verified against
+        # the embedded text before it is used as a key, so memoizing it
+        # does not extend the trusted base — it only lets a re-check of
+        # a recent client skip parsing.  Bounded, so a long-lived checker
+        # does not grow with every client it sees
         self._builds = LRUCache(DEFAULT_CACHE_SIZE, name="checker-builds")
         self._spec_hashes: Dict[str, str] = {}
 
@@ -282,27 +289,9 @@ class CertificateChecker:
         )
         build = self._builds.get(build_key)
         if build is None:
-            try:
-                from repro.lang.types import parse_program
-
-                program = parse_program(source, spec_obj)
-                arts = session.artifacts(program, engine, source_key=source)
-            except _Reject:
-                raise
-            except Exception as error:  # parse/transform failure on the
-                # embedded source: the certificate cannot describe this
-                # client
-                raise _Reject(
-                    "malformed",
-                    f"embedded source does not build for {engine}: {error}",
-                )
-            build = (
-                program,
-                arts,
-                model.abstraction_hash(arts.get("abstraction")),
-            )
+            build = self._build(session, spec_obj, str(engine), source, meta)
             self._builds.put(build_key, build)
-        program, arts, derived_hash = build
+        built, derived_hash = build
 
         recorded_hash = payload.get("abstraction_hash")
         if recorded_hash != derived_hash:
@@ -312,20 +301,20 @@ class CertificateChecker:
             )
 
         if engine == "fds":
-            alarms, nodes, edges = self._check_fds(session, arts, annotation)
+            alarms, nodes, edges = self._check_fds(session, built, annotation)
         elif engine == "relational":
             alarms, nodes, edges = self._check_relational(
-                session, arts, annotation
+                session, built, annotation
             )
         elif engine == "interproc":
             alarms, nodes, edges = self._check_interproc(
-                session, program, arts, annotation, meta
+                session, built, annotation
             )
         elif engine.startswith("tvla-"):
-            alarms, nodes, edges = self._check_tvla(arts, annotation)
+            alarms, nodes, edges = self._check_tvla(built, annotation)
         else:
             alarms, nodes, edges = self._check_generic(
-                spec_obj, arts, annotation
+                spec_obj, built, annotation
             )
 
         recorded = verdict.get("alarms")
@@ -349,10 +338,36 @@ class CertificateChecker:
             edges=edges,
         )
 
+    def _build(self, session, spec, engine, source, meta):
+        """What the family's replay reads, built from the embedded
+        source, and the hash of the abstraction it was built under."""
+        try:
+            from repro.lang.types import parse_program
+
+            program = parse_program(source, spec)
+            arts = session.artifacts(program, engine, source_key=source)
+        except Exception as error:  # parse/transform failure on the
+            # embedded source: the certificate cannot describe this
+            # client
+            raise _Reject(
+                "malformed",
+                f"embedded source does not build for {engine}: {error}",
+            )
+        derived_hash = model.abstraction_hash(arts.get("abstraction"))
+        if engine in ("fds", "relational"):
+            return arts["boolprog"], derived_hash
+        if engine != "interproc":
+            return arts, derived_hash
+        facts = FactSpaces(program, arts["abstraction"])
+        entry = session.options.entry
+        root = (program.method(entry) if entry else program.entry).qualified
+        spaces = facts.compile()
+        meta.update(facts.plan_stats)
+        return (root, spaces), derived_hash
+
     # -- family passes ------------------------------------------------------
 
-    def _check_fds(self, session, arts, annotation):
-        boolprog = arts["boolprog"]
+    def _check_fds(self, session, boolprog, annotation):
         if annotation.get("kind") != "fds":
             raise _Reject("malformed", "annotation kind is not 'fds'")
         if annotation.get("num_vars") != boolprog.num_vars:
@@ -368,15 +383,14 @@ class CertificateChecker:
         outcome = replay(boolprog, masks, init_one, init_zero, prune)
         if isinstance(outcome, Violation):
             raise _Reject(*outcome)
-        alarms = FdsSolver._collect_alarms(
+        alarms = collect_alarms(
             boolprog,
             {node: pair[0] for node, pair in masks.items()},
             {node: pair[1] for node, pair in masks.items()},
         )
         return alarms, len(masks), boolprog.edges_leaving(masks)
 
-    def _check_relational(self, session, arts, annotation):
-        boolprog = arts["boolprog"]
+    def _check_relational(self, session, boolprog, annotation):
         if annotation.get("kind") != "relational":
             raise _Reject("malformed", "annotation kind is not 'relational'")
         if annotation.get("num_vars") != boolprog.num_vars:
@@ -395,15 +409,15 @@ class CertificateChecker:
             raise _Reject(
                 "entry", "entry annotation does not contain the initial valuation"
             )
-        solver = RelationalSolver(
-            prune_requires=session.options.prune_requires
-        )
+        prune = session.options.prune_requires
         alarm_hits: Dict[Tuple[int, int], List[bool]] = {}
         checked = 0
         for edge in boolprog.edges:
             if edge.src not in states:
                 continue
-            outgoing = solver._transfer(edge, states[edge.src], alarm_hits)
+            outgoing = valuation_transfer(
+                edge, states[edge.src], alarm_hits, prune
+            )
             checked += 1
             extra = outgoing - states.get(edge.dst, frozenset())
             if extra:
@@ -413,26 +427,14 @@ class CertificateChecker:
                     f"{edge.src}->{edge.dst} escape the successor annotation",
                     edge=(edge.src, edge.dst),
                 )
-        alarms = solver._collect_alarms(boolprog, alarm_hits)
+        alarms = valuation_alarms(boolprog, alarm_hits)
         return alarms, len(states), checked
 
-    def _check_interproc(self, session, program, arts, annotation, meta):
+    def _check_interproc(self, session, build, annotation):
         if annotation.get("kind") != "interproc":
             raise _Reject("malformed", "annotation kind is not 'interproc'")
-        # a fresh certifier per check: its fact spaces are rebuilt from
-        # the abstraction's transform memo, so none outlive the check,
-        # and its call-site plans come from that memo too
-        certifier = InterproceduralCertifier(
-            program,
-            arts["abstraction"],
-            prune_requires=session.options.prune_requires,
-        )
-        try:
-            return self._replay_interproc(session, certifier, annotation)
-        finally:
-            meta.update(certifier.plan_stats)
-
-    def _replay_interproc(self, session, certifier, annotation):
+        root_method, spaces = build
+        prune = session.options.prune_requires
         try:
             contexts: Dict[Tuple[str, int], tuple] = {}
             for ctx in annotation["contexts"]:
@@ -444,18 +446,11 @@ class CertificateChecker:
                 )
         except (KeyError, TypeError, ValueError) as error:
             raise _Reject("malformed", f"bad interproc context: {error}")
-        entry_name = session.options.entry
-        entry_method = (
-            certifier.program.method(entry_name)
-            if entry_name
-            else certifier.program.entry
-        )
-        entry_space = certifier.space(entry_method.qualified)
-        root = (entry_method.qualified, entry_space.default_mask)
+        root = (root_method, spaces[root_method].default_mask)
         if root not in contexts:
             raise _Reject(
                 "entry",
-                f"root context {entry_method.qualified} with the initial "
+                f"root context {root_method} with the initial "
                 "vector is not annotated",
             )
         alarms: Dict[Tuple[int, str], object] = {}
@@ -463,11 +458,10 @@ class CertificateChecker:
         checked = 0
         for (method, entry_vector), context in sorted(contexts.items()):
             masks, summary, num_vars = context
-            try:
-                space = certifier.space(method)
-            except Exception as error:
+            space = spaces.get(method)
+            if space is None:
                 raise _Reject(
-                    "malformed", f"unknown context method {method!r}: {error}"
+                    "malformed", f"unknown context method {method!r}"
                 )
             boolprog = space.boolprog
             if num_vars != boolprog.num_vars:
@@ -476,7 +470,9 @@ class CertificateChecker:
                 )
 
             def callee_summary(edge, stm, mask):
-                plan = certifier.call_plan(space, edge.src, edge.dst, stm)
+                # no plan (a KeyError, so malformed): the callee's space
+                # does not build
+                plan = space.plans[(edge.src, edge.dst)]
                 callee = contexts.get((stm.callee, plan.entry(mask)))
                 if callee is None:
                     return None
@@ -488,10 +484,9 @@ class CertificateChecker:
             else:
                 entry_zero = all_vars
             outcome = replay(
-                boolprog, masks, entry_vector, entry_zero,
-                session.options.prune_requires, space.call_map(),
-                callee_summary,
-                partial(certifier.record_alarms, boolprog, method, alarms),
+                boolprog, masks, entry_vector, entry_zero, prune,
+                space.call_map(), callee_summary,
+                partial(record_alarms, boolprog, method, alarms, prune),
             )
             if isinstance(outcome, Violation):
                 kind, detail, edge = outcome
@@ -569,6 +564,8 @@ class CertificateChecker:
             count = len(id_sets)
         else:
             try:
+                if any(i < 0 for _node, i in annotation["nodes"]):
+                    raise IndexError("negative structure id")
                 singles = {
                     int(node): pool[i] for node, i in annotation["nodes"]
                 }
@@ -625,6 +622,8 @@ class CertificateChecker:
         pool_payload = annotation.get("pool", [])
         try:
             pool = [domain.state_from_json(entry) for entry in pool_payload]
+            if any(i < 0 for _node, i in annotation["nodes"]):
+                raise IndexError("negative structure id")
             states = {
                 int(node): pool[i] for node, i in annotation["nodes"]
             }

@@ -86,7 +86,7 @@ def _interproc_annotation(capture) -> Dict[str, object]:
     contexts = []
     for key in sorted(fixpoint["memo"]):
         method, entry_vector = key
-        boolprog = certifier.space(method).boolprog
+        boolprog = certifier.facts.space(method).boolprog
         preds = _edge_preds(boolprog.edges)
         states = fixpoint["node_states"].get(key, {})
         zeros = fixpoint["node_zeros"].get(key, {})

@@ -16,14 +16,17 @@ tuple of client variable names (``stale[i2]``, ``iterof[i1, v]``, …).
 The module also holds the one may-1 / may-0 edge :func:`transfer` and the
 one linear :func:`replay` that confirms per-node masks are inductive: the
 FDS solver, the interprocedural tabulation, the summary database and the
-certificate checker all run these two.
+certificate checker all run these two.  So do the alarm read-outs and
+the relational valuation transfer: the checker imports no solver.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Mapping, NamedTuple
-from typing import Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Set, Tuple, Union
+
+from repro.certifier.report import Alarm
 
 
 @dataclass(frozen=True)
@@ -299,3 +302,138 @@ def replay(
                 (edge.src, edge.dst),
             )
     return masks.get(program.exit, _NO_MASKS)[0]
+
+
+# -- alarms and the relational transfer ------------------------------------------
+
+
+def record_alarms(
+    program: BoolProgram, context: str, alarms: Dict[Tuple[int, str], Alarm],
+    prune: bool, edge: BoolEdge, mask: int,
+) -> None:
+    """Record an alarm in ``context`` for each check of ``edge`` whose
+    predicate may be 1 in the source ``mask``.  Under pruning a passing
+    check leaves its predicate 0, so a later check of it on the same
+    edge is read from the cleared mask, as :func:`transfer` does."""
+    for check in edge.checks:
+        if mask >> check.var & 1:
+            instance = str(program.instance(check.var))
+            alarms[(check.site_id, instance)] = Alarm(
+                site_id=check.site_id,
+                line=check.line,
+                op_key=check.op_key,
+                instance=instance,
+                context=context,
+            )
+        if prune:
+            mask &= ~(1 << check.var)
+
+
+def collect_alarms(
+    program: BoolProgram, may_one: Mapping[int, int],
+    may_zero: Mapping[int, int], provenance: Optional[Dict] = None,
+) -> List[Alarm]:
+    """The alarms of per-node may-1 / may-0 masks: one per checked
+    (site, variable) that may be 1 at a reached check, definite where
+    it may not be 0; ``provenance`` adds each alarm's witness trace."""
+    from repro.certifier.witness import format_trace, trace
+
+    alarms: List[Alarm] = []
+    seen: Set[Tuple[int, int]] = set()
+    for edge in program.edges:
+        one = may_one.get(edge.src)
+        if one is None:
+            continue  # unreachable
+        zero = may_zero.get(edge.src, 0)
+        for check in edge.checks:
+            if not one >> check.var & 1:
+                continue
+            key = (check.site_id, check.var)
+            if key in seen:
+                continue
+            seen.add(key)
+            chain = None
+            if provenance is not None:
+                steps = trace(program, provenance, edge.src, check.var)
+                chain = format_trace(steps) or None
+            alarms.append(
+                Alarm(
+                    site_id=check.site_id,
+                    line=check.line,
+                    op_key=check.op_key,
+                    instance=str(program.instance(check.var)),
+                    definite=not zero >> check.var & 1,
+                    trace=chain,
+                )
+            )
+    alarms.sort(key=lambda a: (a.site_id, a.instance))
+    return alarms
+
+
+def valuation_transfer(
+    edge: BoolEdge, current: Iterable[int],
+    alarm_hits: Dict[Tuple[int, int], List[bool]], prune: bool,
+    apply_filters: bool = True,
+) -> Set[int]:
+    """The valuations after ``edge`` from the valuations ``current``.
+    Each check marks in ``alarm_hits[(site, var)]`` whether some
+    valuation fails it and whether some passes it; under ``prune`` a
+    failing valuation stops at the edge."""
+    outgoing: Set[int] = set()
+    for valuation in current:
+        value = valuation
+        failed = False
+        for check in edge.checks:
+            record = alarm_hits.setdefault(
+                (check.site_id, check.var), [False, False]
+            )
+            if value >> check.var & 1:
+                record[0] = True  # some execution fails here
+                failed = True
+            else:
+                record[1] = True  # some execution passes here
+        if failed and prune:
+            continue  # execution aborted by the thrown exception
+        if apply_filters:
+            violated = False
+            for var, expected in edge.filters:
+                if bool(value >> var & 1) != expected:
+                    violated = True
+                    break
+            if violated:
+                continue
+        updated = value
+        for assign in edge.assigns:
+            bit = 1 << assign.target
+            result = assign.const_true or any(
+                value >> source & 1 for source in assign.sources
+            )
+            updated = updated | bit if result else updated & ~bit
+        outgoing.add(updated)
+    return outgoing
+
+
+def valuation_alarms(
+    program: BoolProgram, alarm_hits: Dict[Tuple[int, int], List[bool]]
+) -> List[Alarm]:
+    """The alarms of :func:`valuation_transfer`'s hits: one per
+    (site, variable) some valuation fails, definite if none passes."""
+    sites: Dict[Tuple[int, int], Check] = {}
+    for edge in program.edges:
+        for check in edge.checks:
+            sites[(check.site_id, check.var)] = check
+    alarms: List[Alarm] = []
+    for (site_id, var), (fails, passes) in sorted(alarm_hits.items()):
+        if not fails:
+            continue
+        check = sites[(site_id, var)]
+        alarms.append(
+            Alarm(
+                site_id=site_id,
+                line=check.line,
+                op_key=check.op_key,
+                instance=str(program.instance(var)),
+                definite=not passes,
+            )
+        )
+    return alarms

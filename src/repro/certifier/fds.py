@@ -26,9 +26,14 @@ predicate must be 1).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from repro.certifier.boolprog import BoolEdge, BoolProgram, transfer
+from repro.certifier.boolprog import (
+    BoolEdge,
+    BoolProgram,
+    collect_alarms,
+    transfer,
+)
 from repro.certifier.report import Alarm, CertificationReport
 from repro.runtime import guard as _guard
 from repro.runtime.guard import ResourceExhausted, ResourceGovernor
@@ -146,15 +151,15 @@ class FdsSolver:
                 error,
                 engine="fds",
                 subject=program.name,
-                alarms=self._collect_alarms(
+                alarms=collect_alarms(
                     program, may_one, may_zero, provenance
                 ),
                 site_universe=_guard.boolprog_sites(program),
                 nodes_analyzed=len(may_one),
-                nodes_total=_node_count(program),
+                nodes_total=_guard.node_count(program),
                 stats={"iterations": iterations},
             )
-        alarms = self._collect_alarms(
+        alarms = collect_alarms(
             program, may_one, may_zero, provenance
         )
         return FdsResult(
@@ -193,56 +198,6 @@ class FdsSolver:
                     provenance[key] = cause
             fresh >>= 1
             var += 1
-
-    @staticmethod
-    def _collect_alarms(
-        program: BoolProgram,
-        may_one: Dict[int, int],
-        may_zero: Dict[int, int],
-        provenance: Optional[Dict] = None,
-    ) -> List[Alarm]:
-        from repro.certifier.witness import format_trace, trace
-
-        alarms: List[Alarm] = []
-        seen: Set[Tuple[int, int]] = set()
-        for edge in program.edges:
-            one = may_one.get(edge.src)
-            if one is None:
-                continue  # unreachable
-            zero = may_zero.get(edge.src, 0)
-            for check in edge.checks:
-                if not one >> check.var & 1:
-                    continue
-                key = (check.site_id, check.var)
-                if key in seen:
-                    continue
-                seen.add(key)
-                chain = None
-                if provenance is not None:
-                    steps = trace(
-                        program, provenance, edge.src, check.var
-                    )
-                    chain = format_trace(steps) or None
-                alarms.append(
-                    Alarm(
-                        site_id=check.site_id,
-                        line=check.line,
-                        op_key=check.op_key,
-                        instance=str(program.instance(check.var)),
-                        definite=not zero >> check.var & 1,
-                        trace=chain,
-                    )
-                )
-        alarms.sort(key=lambda a: (a.site_id, a.instance))
-        return alarms
-
-
-def _node_count(program: BoolProgram) -> int:
-    nodes = {program.entry}
-    for edge in program.edges:
-        nodes.add(edge.src)
-        nodes.add(edge.dst)
-    return len(nodes)
 
 
 def certify_fds(

@@ -17,9 +17,14 @@ forgoes (and which Rule 2 renders irrelevant for the alarm question).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
-from repro.certifier.boolprog import BoolEdge, BoolProgram
+from repro.certifier.boolprog import (
+    BoolProgram,
+    valuation_alarms,
+    valuation_transfer,
+)
 from repro.certifier.report import Alarm, CertificationReport
 from repro.runtime import guard as _guard
 from repro.runtime.guard import ResourceExhausted, ResourceGovernor
@@ -85,6 +90,11 @@ class RelationalSolver:
         self, program: BoolProgram, seed: Optional[RelationalSeed] = None
     ) -> RelationalResult:
         governor = self.governor
+        step = partial(
+            valuation_transfer,
+            prune=self.prune_requires,
+            apply_filters=self.apply_filters,
+        )
         init = frozenset([program.initial_mask()])
         worklist = make_worklist(
             program.entry,
@@ -114,7 +124,7 @@ class RelationalSolver:
                 node = worklist.pop()
                 current = states.get(node, set())
                 for edge in program.out_edges(node):
-                    outgoing = self._transfer(edge, current, alarm_hits)
+                    outgoing = step(edge, current, alarm_hits)
                     target = states.setdefault(edge.dst, set())
                     before = len(target)
                     # budget check *before* merging, so StateExplosion always
@@ -141,10 +151,10 @@ class RelationalSolver:
                 error,
                 engine="relational",
                 subject=program.name,
-                alarms=self._collect_alarms(program, alarm_hits),
+                alarms=valuation_alarms(program, alarm_hits),
                 site_universe=_guard.boolprog_sites(program),
                 nodes_analyzed=len(states),
-                nodes_total=_node_count(program),
+                nodes_total=_guard.node_count(program),
                 stats={"iterations": iterations, "max_states": max_states},
             )
         if seed is not None:
@@ -159,11 +169,11 @@ class RelationalSolver:
                     continue
                 source = states.get(edge.src)
                 if source:
-                    self._transfer(edge, source, alarm_hits)
+                    step(edge, source, alarm_hits)
             max_states = max(
                 1, max((len(vals) for vals in states.values()), default=1)
             )
-        alarms = self._collect_alarms(program, alarm_hits)
+        alarms = valuation_alarms(program, alarm_hits)
         return RelationalResult(
             program,
             {node: frozenset(vals) for node, vals in states.items()},
@@ -171,78 +181,6 @@ class RelationalSolver:
             max_states,
             iterations,
         )
-
-    def _transfer(
-        self,
-        edge: BoolEdge,
-        current: Set[int],
-        alarm_hits: Dict[Tuple[int, int], List[bool]],
-    ) -> Set[int]:
-        outgoing: Set[int] = set()
-        for valuation in current:
-            value = valuation
-            failed = False
-            for check in edge.checks:
-                record = alarm_hits.setdefault(
-                    (check.site_id, check.var), [False, False]
-                )
-                if value >> check.var & 1:
-                    record[0] = True  # some execution fails here
-                    failed = True
-                else:
-                    record[1] = True  # some execution passes here
-            if failed and self.prune_requires:
-                continue  # execution aborted by the thrown exception
-            if self.apply_filters:
-                violated = False
-                for var, expected in edge.filters:
-                    if bool(value >> var & 1) != expected:
-                        violated = True
-                        break
-                if violated:
-                    continue
-            updated = value
-            for assign in edge.assigns:
-                bit = 1 << assign.target
-                result = assign.const_true or any(
-                    value >> source & 1 for source in assign.sources
-                )
-                updated = updated | bit if result else updated & ~bit
-            outgoing.add(updated)
-        return outgoing
-
-    def _collect_alarms(
-        self,
-        program: BoolProgram,
-        alarm_hits: Dict[Tuple[int, int], List[bool]],
-    ) -> List[Alarm]:
-        sites: Dict[int, object] = {}
-        for edge in program.edges:
-            for check in edge.checks:
-                sites[(check.site_id, check.var)] = check
-        alarms: List[Alarm] = []
-        for (site_id, var), (fails, passes) in sorted(alarm_hits.items()):
-            if not fails:
-                continue
-            check = sites[(site_id, var)]
-            alarms.append(
-                Alarm(
-                    site_id=site_id,
-                    line=check.line,  # type: ignore[attr-defined]
-                    op_key=check.op_key,  # type: ignore[attr-defined]
-                    instance=str(program.instance(var)),
-                    definite=not passes,
-                )
-            )
-        return alarms
-
-
-def _node_count(program: BoolProgram) -> int:
-    nodes = {program.entry}
-    for edge in program.edges:
-        nodes.add(edge.src)
-        nodes.add(edge.dst)
-    return len(nodes)
 
 
 def certify_relational(

@@ -160,7 +160,7 @@ class _Universe:
 class _TransformMemo:
     """One abstraction's instance universes, keyed by ordered variable
     environment, the interprocedural call-site plans compiled over them
-    (:meth:`repro.certifier.interproc.InterproceduralCertifier.call_plan`),
+    (:meth:`repro.certifier.spaces.FactSpaces.call_plan`),
     and the cells they hold.
 
     Every entry is a pure function of its key, so emptying the memo when

@@ -200,15 +200,6 @@ class DerivedAbstraction:
         """:func:`reflexively_true` of the family called ``name``."""
         return self._reflexive[name]
 
-    def families_by_sorts(self) -> Dict[Tuple[str, ...], List[Family]]:
-        result: Dict[Tuple[str, ...], List[Family]] = {}
-        for fam in self.families:
-            result.setdefault(fam.sorts, []).append(fam)
-        return result
-
-    def operation_abstraction(self, op: Operation) -> OperationAbstraction:
-        return self.operations[op.key]
-
     def pretty_names(self) -> Dict[str, str]:
         """Human-readable aliases for CMP-shaped families, for display.
 

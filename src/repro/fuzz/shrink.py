@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Tuple
 
 from repro.lang.parser import JliteParseError, parse_program_ast
 
@@ -192,10 +192,3 @@ def corpus_entry_name(seed: int, kind: str, existing: List[str]) -> str:
         suffix += 1
         name = f"{base}_{suffix}"
     return name
-
-
-def default_shrink_predicate(
-    check: Callable[[str], Optional[str]]
-) -> Predicate:
-    """Adapt a checker returning an explanation-or-None into a predicate."""
-    return lambda source: check(source) is not None

@@ -375,14 +375,6 @@ def _collect_alarms(cfg, states, domain, runner) -> List[Alarm]:
     return alarms
 
 
-def _node_count(cfg) -> int:
-    nodes = {cfg.entry}
-    for edge in cfg.edges:
-        nodes.add(edge.src)
-        nodes.add(edge.dst)
-    return len(nodes)
-
-
 def _analyze_generic(
     inlined: InlinedProgram,
     domain: HeapDomain,
@@ -450,7 +442,7 @@ def _analyze_generic(
             alarms=_collect_alarms(cfg, states, domain, runner),
             site_universe=_guard.cfg_sites(cfg, spec),
             nodes_analyzed=len(states),
-            nodes_total=_node_count(cfg),
+            nodes_total=_guard.node_count(cfg),
             stats={"iterations": iterations},
         )
     # final pass: evaluate the requires clauses in the settled states

@@ -192,29 +192,18 @@ class CFG:
         self.exit = self.new_node()
         self.edges: List[Edge] = []
         self._out: Dict[int, List[Edge]] = {}
-        self._in: Dict[int, List[Edge]] = {}
 
     def new_node(self) -> int:
         return next(self._node_counter)
-
-    @property
-    def node_count(self) -> int:
-        return max(
-            (max(e.src, e.dst) for e in self.edges), default=self.exit
-        ) + 1
 
     def add_edge(self, src: int, dst: int, stm: Stm) -> Edge:
         edge = Edge(src, dst, stm)
         self.edges.append(edge)
         self._out.setdefault(src, []).append(edge)
-        self._in.setdefault(dst, []).append(edge)
         return edge
 
     def out_edges(self, node: int) -> List[Edge]:
         return self._out.get(node, [])
-
-    def in_edges(self, node: int) -> List[Edge]:
-        return self._in.get(node, [])
 
     def nodes(self) -> List[int]:
         found = {self.entry, self.exit}

@@ -334,17 +334,6 @@ def rename_pred_args(formula: Formula, mapping: dict) -> Formula:
     return map_atoms(formula, rename)
 
 
-def map_terms(formula: Formula, fn: Callable[[Term], Term]) -> Formula:
-    """Rewrite the terms of every ``EqAtom`` with ``fn``."""
-
-    def rewrite(atom: Formula) -> Formula:
-        if isinstance(atom, EqAtom):
-            return eq(fn(atom.lhs), fn(atom.rhs))
-        return atom
-
-    return map_atoms(formula, rewrite)
-
-
 def formula_size(formula: Formula) -> int:
     """Node count, used in tests and derivation statistics."""
     if isinstance(formula, (Truth, EqAtom, PredAtom)):

@@ -30,10 +30,6 @@ class Kleene(enum.Enum):
     __str__ = __repr__
 
     @property
-    def is_definite(self) -> bool:
-        return self is not Kleene.HALF
-
-    @property
     def may_be_true(self) -> bool:
         return self is not Kleene.FALSE
 

@@ -90,14 +90,6 @@ def fields_of(term: Term) -> Tuple[str, ...]:
     return tuple(reversed(fields))
 
 
-def make_path(base: Union[Base, Fresh], fields: Tuple[str, ...]) -> Term:
-    """Build an access path from a root and a field sequence."""
-    term: Term = base
-    for field in fields:
-        term = Field(term, field)
-    return term
-
-
 def depth(term: Term) -> int:
     """Number of field selections in ``term``."""
     count = 0
@@ -130,8 +122,3 @@ def rename_roots(term: Term, mapping: dict) -> Term:
     if isinstance(term, Base) and term in mapping:
         return mapping[term]
     return term
-
-
-def is_prestate(term: Term) -> bool:
-    """True if ``term`` denotes a pre-state value (no fresh token root)."""
-    return isinstance(root(term), Base)

@@ -347,6 +347,14 @@ def boolprog_sites(program) -> Dict[int, Tuple[int, str]]:
     )
 
 
+def node_count(graph) -> int:
+    """Nodes of a CFG-shaped ``graph``: its entry and every edge end."""
+    nodes = {graph.entry}
+    for edge in graph.edges:
+        nodes.update((edge.src, edge.dst))
+    return len(nodes)
+
+
 def tvp_sites(tvp) -> Dict[int, Tuple[int, str]]:
     """Check sites of a specialized TVP program."""
     return collect_sites(

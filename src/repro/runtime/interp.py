@@ -79,10 +79,6 @@ class SiteTruth:
     def may_fail(self) -> bool:
         return self.fail_count > 0
 
-    @property
-    def may_pass(self) -> bool:
-        return self.pass_count > 0
-
 
 @dataclass
 class GroundTruth:

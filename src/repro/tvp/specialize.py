@@ -231,11 +231,6 @@ class _Specializer:
 
     # -- helpers --------------------------------------------------------------------------
 
-    def _instance_formula(
-        self, instance: SlotInstance, var_for_position: Dict[int, str]
-    ) -> Formula:
-        return instance.atom(var_for_position)
-
     def _slot_by_pseudo(self, pseudo: str) -> Slot:
         if pseudo in self.var_slots:
             return self.var_slots[pseudo]

@@ -20,29 +20,29 @@ import itertools
 from typing import Dict, List, Optional, Tuple
 
 from repro.certifier.boolprog import Instance
-from repro.certifier.interproc import RET_VAR, ProcSpace
+from repro.certifier.spaces import RET_VAR, ProcSpace
 from repro.derivation.predicates import Family
 from repro.lang.cfg import SCallClient
 
 
 def _formal_visible(stm: SCallClient, callee: ProcSpace) -> Dict[str, str]:
-    minfo = callee.method
     visible: Dict[str, str] = {}
-    if stm.receiver is not None and not minfo.is_static:
+    if stm.receiver is not None and not callee.is_static:
         visible["this"] = stm.receiver
-    for (pname, _pt), actual in zip(minfo.params, stm.args):
+    for pname, actual in zip(callee.params, stm.args):
         visible[pname] = actual
     return visible
 
 
 class InterpretiveCallMaps:
-    """``map_entry`` / ``map_return`` of one certifier, by interpretation."""
+    """``map_entry`` / ``map_return`` over one client's
+    :class:`~repro.certifier.spaces.FactSpaces`, by interpretation."""
 
-    def __init__(self, certifier) -> None:
-        self.abstraction = certifier.abstraction
-        self.shapes = certifier.shapes
-        self.statics = certifier.statics
-        self._family_mutable = certifier._family_mutable
+    def __init__(self, facts) -> None:
+        self.abstraction = facts.abstraction
+        self.shapes = facts.shapes
+        self.statics = facts.statics
+        self._family_mutable = facts._family_mutable
         self._formal_visible: Dict[str, str] = {}
 
     # -- value lookups --------------------------------------------------------------------
@@ -72,11 +72,10 @@ class InterpretiveCallMaps:
 
     def _beta(self, stm: SCallClient, callee: ProcSpace) -> Dict[str, str]:
         """Caller-visible name of each callee interface variable."""
-        minfo = callee.method
         beta: Dict[str, str] = {}
-        if stm.receiver is not None and not minfo.is_static:
+        if stm.receiver is not None and not callee.is_static:
             beta["this"] = stm.receiver
-        for (pname, _pt), actual in zip(minfo.params, stm.args):
+        for pname, actual in zip(callee.params, stm.args):
             beta[pname] = actual
         for static in self.statics:
             beta[static] = static

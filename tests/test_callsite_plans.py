@@ -5,7 +5,9 @@ suite programs and on ``make_shared_library`` / ``make_deep_calls``
 clients, the site's :class:`~repro.certifier.callplan.CallPlan` and the
 bit-by-bit oracle (``tests/callsite_oracle.py``) map the same masks to
 the same results: seeded random caller and exit masks, plus all-zeros
-and all-ones.  One session-wide abstraction is shared by every program,
+and all-ones.  So does the plan the certificate checker applies at that
+site, taken from its program-free build (``FactSpaces.compile``) of the
+client's certificate.  One session-wide abstraction is shared by every program,
 so plans compiled at one site are reused, by key, at later sites with
 the same shape; the ``rebound`` client puts sites that differ only in
 their binding or result variable side by side, so a key that dropped
@@ -18,9 +20,12 @@ import zlib
 
 import pytest
 
+from repro.api import CertifyOptions, CertifySession
 from repro.bench.synthetic import make_deep_calls, make_shared_library
+from repro.cert import CertificateChecker
 from repro.certifier.callplan import BitPlan, caller_bit, exit_bit
 from repro.certifier.interproc import InterproceduralCertifier
+from repro.certifier.spaces import FactSpaces
 from repro.derivation import derive
 from repro.lang import parse_program
 from repro.suite import shallow_programs
@@ -88,18 +93,34 @@ def _masks(rng, caller_vars, callee_vars):
 
 
 def test_plans_match_the_interpretive_maps(
-    cmp_specification, cmp_abstraction_id
+    cmp_specification, cmp_abstraction_id, monkeypatch
 ):
+    session = CertifySession(
+        cmp_specification, options=CertifyOptions(emit_certificate=True)
+    )
+    checker = CertificateChecker()
+    builds = []
+    compile_spaces = FactSpaces.compile
+    monkeypatch.setattr(
+        FactSpaces,
+        "compile",
+        lambda facts: builds.append(compile_spaces(facts)) or builds[-1],
+    )
     sites = 0
     for name, source in _programs():
         program = parse_program(source, cmp_specification)
         certifier = InterproceduralCertifier(program, cmp_abstraction_id)
         certifier.certify()
-        oracle = InterpretiveCallMaps(certifier)
-        for qualified, caller in sorted(certifier.spaces.items()):
+        facts = certifier.facts
+        oracle = InterpretiveCallMaps(facts)
+        certificate = session.certify(source, "interproc").certificate
+        assert checker.check(certificate).ok, name
+        checked = builds[-1]
+        for qualified, caller in sorted(facts.spaces.items()):
             for src, dst, stm in caller.call_edges:
-                callee = certifier.space(stm.callee)
-                plan = certifier.call_plan(caller, src, dst, stm)
+                callee = facts.space(stm.callee)
+                plan = facts.call_plan(caller, src, dst, stm)
+                applied = checked[qualified].plans[(src, dst)]
                 seed = zlib.crc32(f"{name}|{qualified}|{src}|{dst}".encode())
                 rng = random.Random(seed)
                 site = f"{name}: {qualified} {src}->{dst} `{stm}` seed={seed}"
@@ -109,19 +130,20 @@ def test_plans_match_the_interpretive_maps(
                     expected_entry = oracle.map_entry(
                         caller, caller_mask, stm, callee
                     )
-                    assert plan.entry(caller_mask) == expected_entry, (
-                        f"entry map differs at {site}, "
-                        f"caller mask {caller_mask:x}"
-                    )
                     expected_return = oracle.map_return(
                         caller, caller_mask, stm, callee, exit_mask
                     )
-                    assert plan.ret(caller_mask, exit_mask) == (
-                        expected_return
-                    ), (
-                        f"return map differs at {site}, caller mask "
-                        f"{caller_mask:x}, exit mask {exit_mask:x}"
-                    )
+                    for who, applies in (("plan", plan), ("checker", applied)):
+                        assert applies.entry(caller_mask) == expected_entry, (
+                            f"{who} entry map differs at {site}, "
+                            f"caller mask {caller_mask:x}"
+                        )
+                        assert applies.ret(caller_mask, exit_mask) == (
+                            expected_return
+                        ), (
+                            f"{who} return map differs at {site}, caller "
+                            f"mask {caller_mask:x}, exit mask {exit_mask:x}"
+                        )
                 sites += 1
     assert sites > 400
 
@@ -135,7 +157,7 @@ def test_plans_are_reused_across_clients(cmp_specification):
             parse_program(source, cmp_specification), abstraction
         )
         certifier.certify()
-        stats.append(dict(certifier.plan_stats))
+        stats.append(dict(certifier.facts.plan_stats))
     assert stats[0]["call_plans_built"] > 0
     # the second client shares the library, and with it most call sites
     assert stats[1]["call_plans_reused"] > stats[1]["call_plans_built"]

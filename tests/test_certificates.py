@@ -225,6 +225,34 @@ class TestMutations:
         assert not verdict.ok
         assert verdict.kind == "malformed"
 
+    @pytest.mark.parametrize(
+        "engine",
+        ["tvla-independent", "allocsite", "allocsite-recency", "shapegraph"],
+    )
+    def test_negative_pool_ids_rejected(
+        self, emitting_session, checker, engine
+    ):
+        """Regression: a node's pool id minus the pool size names the
+        same structure through Python's negative indexing, so the
+        shifted certificate was accepted; tvla-relational already
+        rejected it."""
+        import copy
+
+        from repro.bench.synthetic import make_heap_chain
+
+        payload = copy.deepcopy(
+            emitting_session.certify(
+                make_heap_chain(24, seed=1), engine=engine
+            ).certificate.payload
+        )
+        annotation = payload["annotation"]
+        assert checker.check(copy.deepcopy(payload)).ok
+        for entry in annotation["nodes"]:
+            entry[1] -= len(annotation["pool"])
+        verdict = checker.check(payload)
+        assert not verdict.ok
+        assert verdict.kind == "malformed"
+
 
 class TestPartialCertificates:
     def test_breached_run_emits_partial_and_checker_rejects(

@@ -1,0 +1,131 @@
+"""What the certificate checker depends on, and what it keeps.
+
+The checker is the light side of proof-carrying code: it replays an
+annotation, so it needs no fixpoint engine, and a held checker keeps per
+recent client only what that replay reads.  These tests pin both: the
+modules ``cert/check.py`` imports, and the objects a checker still
+reaches after checking an interproc certificate, which must include no
+parsed program.  A re-check of the same certificate must then neither
+parse the source nor build a fact space.
+"""
+
+import ast
+import copy
+import gc
+import types
+from pathlib import Path
+
+import pytest
+
+import repro.cert
+from repro.api import CertifyOptions, CertifySession
+from repro.bench.synthetic import make_shared_library
+from repro.cert import CertificateChecker, check
+from repro.certifier.spaces import FactSpaces
+from repro.lang import types as lang_types
+from repro.lang.cfg import CFG
+from repro.lang.types import MethodInfo, Program
+
+#: the fixpoint engines and their worklists
+ENGINE_MODULES = {
+    "repro.certifier.fds",
+    "repro.certifier.relational",
+    "repro.certifier.interproc",
+    "repro.util.worklist",
+}
+
+
+def _imported(path: Path) -> set:
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            names.add(node.module)
+            names.update(f"{node.module}.{alias.name}" for alias in node.names)
+    return names
+
+
+def test_checker_imports_no_fixpoint_engine():
+    assert not _imported(Path(check.__file__)) & ENGINE_MODULES
+    for path in Path(repro.cert.__file__).parent.glob("*.py"):
+        assert "InterproceduralCertifier" not in path.read_text(), path.name
+
+
+def _reachable(root) -> list:
+    """Every object reachable from ``root`` through instance data:
+    modules, classes and code are not followed, and a function only
+    through its closure and defaults."""
+    seen = {id(root)}
+    stack = [root]
+    found = []
+    while stack:
+        obj = stack.pop()
+        found.append(obj)
+        if isinstance(obj, types.FunctionType):
+            refs = list(obj.__closure__ or ()) + list(obj.__defaults__ or ())
+        elif isinstance(
+            obj,
+            (type, types.ModuleType, types.CodeType, types.BuiltinFunctionType),
+        ):
+            continue
+        else:
+            refs = gc.get_referents(obj)
+        for ref in refs:
+            if id(ref) not in seen:
+                seen.add(id(ref))
+                stack.append(ref)
+    return found
+
+
+@pytest.fixture(scope="module")
+def library_certificate(cmp_specification):
+    session = CertifySession(
+        cmp_specification, options=CertifyOptions(emit_certificate=True)
+    )
+    return session.certify(make_shared_library(200), "interproc").certificate
+
+
+def test_held_checker_keeps_no_program_and_rechecks_without_parsing(
+    library_certificate, monkeypatch
+):
+    parses = []
+    built = []
+    parse_program = lang_types.parse_program
+    space = FactSpaces.space
+    monkeypatch.setattr(
+        lang_types,
+        "parse_program",
+        lambda *args: parses.append(1) or parse_program(*args),
+    )
+    monkeypatch.setattr(
+        FactSpaces,
+        "space",
+        lambda facts, qualified: built.append(qualified)
+        or space(facts, qualified),
+    )
+    checker = CertificateChecker()
+    assert checker.check(library_certificate).ok
+    assert parses and built
+    kept = [
+        type(obj).__name__
+        for obj in _reachable(checker)
+        if isinstance(obj, (Program, MethodInfo, CFG))
+    ]
+    assert not kept
+    parses.clear()
+    built.clear()
+    assert checker.check(library_certificate).ok
+    assert parses == []
+    assert built == []
+
+
+def test_context_of_an_unknown_method_is_malformed(library_certificate):
+    """Contexts replay in sorted order, so one for a method that sorts
+    first is looked up before any other context is replayed."""
+    payload = copy.deepcopy(library_certificate.payload)
+    contexts = payload["annotation"]["contexts"]
+    contexts.append(dict(contexts[0], method="A.nowhere"))
+    verdict = CertificateChecker().check(payload)
+    assert not verdict.ok
+    assert verdict.kind == "malformed"

@@ -8,10 +8,8 @@ clients) on every shallow suite program, and against ground truth.
 import pytest
 
 from repro.certifier.fds import certify_fds
-from repro.certifier.interproc import (
-    InterproceduralCertifier,
-    classify_shapes,
-)
+from repro.certifier.interproc import InterproceduralCertifier
+from repro.certifier.spaces import FactSpaces, classify_shapes
 from repro.certifier.transform import ClientTransformer, TransformError
 from repro.lang import parse_program
 from repro.lang.inline import inline_program
@@ -56,8 +54,7 @@ class TestGhostsAndPhantoms:
             """,
             cmp_specification,
         )
-        certifier = InterproceduralCertifier(program, cmp_abstraction_id)
-        space = certifier.space("Main.helper")
+        space = FactSpaces(program, cmp_abstraction_id).space("Main.helper")
         assert "s##in" in space.ghosts
         assert "Main.g##in" in space.ghosts
         assert any(p.endswith("##ph") for p in space.phantoms)
@@ -78,8 +75,7 @@ class TestGhostsAndPhantoms:
             """,
             cmp_specification,
         )
-        certifier = InterproceduralCertifier(program, cmp_abstraction_id)
-        space = certifier.space("Main.make")
+        space = FactSpaces(program, cmp_abstraction_id).space("Main.make")
         assert "##ret" in space.variables
 
 
