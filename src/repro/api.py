@@ -700,9 +700,7 @@ class CertifySession:
         governor: Optional[ResourceGovernor] = None,
     ) -> CertificationReport:
         options = self.options
-        emit = options.emit_certificate
         arts = self.artifacts(program, engine, source_key)
-
         if engine == "interproc":
             certifier = InterproceduralCertifier(
                 program,
@@ -712,46 +710,36 @@ class CertifySession:
                 summary_store=self._summary_store(),
             )
             report = certifier.certify(options.entry)
-            if emit:
-                self._attach_certificate(
-                    report, engine, source_key, arts,
-                    {"certifier": certifier},
-                )
-            return report
+            capture = {"certifier": certifier}
+        else:
+            report, capture = self._fixpoint(engine, arts, governor)
+        if options.emit_certificate:
+            self._attach_certificate(report, engine, source_key, arts, capture)
+        return report
 
+    def _fixpoint(self, engine: str, arts: dict, governor=None, seed=None):
+        """Run a non-interproc engine over built ``arts``, warm from
+        ``seed`` when given (:mod:`repro.incr`); returns the report and
+        what certificate emission reads."""
         if engine in ("fds", "relational"):
-            sink: Optional[list] = [] if emit else None
+            sink: list = []
             certify = certify_fds if engine == "fds" else certify_relational
             report = certify(
                 arts["boolprog"],
-                prune_requires=options.prune_requires,
+                prune_requires=self.options.prune_requires,
                 governor=governor,
                 result_sink=sink,
+                seed=seed,
             )
-            if emit:
-                self._attach_certificate(
-                    report, engine, source_key, arts, {"result": sink[0]}
-                )
-            return report
-
+            return report, {"result": sink[0]}
         if engine.startswith("tvla-"):
-            result = arts["engine_obj"].run(governor)
-            report = result.report
-            if emit:
-                self._attach_certificate(
-                    report, engine, source_key, arts, {"result": result}
-                )
-            return report
-
-        generic = analyze_generic(
-            arts["inlined"], arts["domain"], engine, governor=governor
-        )
-        report = generic.report
-        if emit:
-            self._attach_certificate(
-                report, engine, source_key, arts, {"result": generic}
+            result = arts["engine_obj"].run(governor, seed)
+        else:
+            result = analyze_generic(
+                arts["inlined"], arts["domain"], engine, governor=governor,
+                seed=seed,
             )
-        return report
+        return result.report, {"result": result}
 
     # -- observability ---------------------------------------------------------
 

@@ -138,7 +138,7 @@ def _tvla_annotation(arts, result) -> Dict[str, object]:
         }
     raw_ids = {
         node: pool.add(model.structure_to_json(structure, preds))
-        for node, structure in result.node_single.items()
+        for node, structure in result.node_states.items()
     }
     entries, remap = pool.finish()
     return {

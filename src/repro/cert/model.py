@@ -247,6 +247,89 @@ def decode_int_sets(payload: List[List[object]]) -> Dict[int, FrozenSet[int]]:
     return sets
 
 
+# -- state annotations (relational, tvla, generic) -------------------------
+#
+# One decoder per family, shared by the certificate checker and by
+# incremental recertification.  Each returns node -> the engine's own
+# state type and raises CertificateError for a node outside ``nodes``
+# (the graph the annotation describes), a pool id outside the pool, or a
+# valuation outside the variable universe.
+
+
+def decode_valuations(
+    annotation: Mapping[str, object], num_vars: int, nodes
+) -> Dict[int, FrozenSet[int]]:
+    """relational: node -> set of valuations (bit vectors over
+    ``num_vars`` variables)."""
+    sets = decode_int_sets(annotation.get("nodes"))
+    limit = 1 << num_vars
+    for node, values in sets.items():
+        if node not in nodes:
+            raise CertificateError(f"annotation names unknown node {node}")
+        if any(value < 0 or value >= limit for value in values):
+            raise CertificateError(f"valuation beyond num_vars at node {node}")
+    return sets
+
+
+def decode_structures(
+    annotation: Mapping[str, object], preds, nodes
+) -> Dict[int, object]:
+    """tvla: the pool, canonicalized under the abstraction predicates
+    ``preds``, resolved per node — in relational mode to a bucket
+    {canonical key: structure} filled in ascending id order, in
+    independent mode to the node's one structure."""
+    pool = [
+        structure_from_json(entry).canonicalize(preds)
+        for entry in annotation.get("pool", [])
+    ]
+    if annotation.get("mode") != "relational":
+        return _resolve(annotation, pool, nodes)
+    keys = [structure.canonical_key(preds) for structure in pool]
+    return {
+        node: {keys[i]: pool[i] for i in sorted(ids)}
+        for node, ids in _pool_ids(
+            decode_int_sets(annotation.get("nodes")), len(pool), nodes
+        ).items()
+    }
+
+
+def decode_heap_states(
+    annotation: Mapping[str, object], domain, nodes
+) -> Dict[int, object]:
+    """generic: node -> heap state, through ``domain.state_from_json``."""
+    try:
+        pool = [
+            domain.state_from_json(entry)
+            for entry in annotation.get("pool", [])
+        ]
+    except (TypeError, ValueError, KeyError, IndexError) as exc:
+        raise CertificateError(f"malformed heap state: {exc}") from exc
+    return _resolve(annotation, pool, nodes)
+
+
+def _resolve(annotation, pool, nodes) -> Dict[int, object]:
+    """node -> pool entry for a one-state-per-node annotation."""
+    try:
+        ids = {int(node): {i} for node, i in annotation["nodes"]}
+    except (TypeError, ValueError, KeyError) as exc:
+        raise CertificateError(f"malformed node annotation: {exc}") from exc
+    return {
+        node: pool[i]
+        for node, (i,) in _pool_ids(ids, len(pool), nodes).items()
+    }
+
+
+def _pool_ids(ids, size: int, nodes):
+    """``ids`` (node -> pool ids), once every node is in ``nodes`` and
+    every id is an int in ``0 .. size - 1``."""
+    for node, entry in ids.items():
+        if node not in nodes:
+            raise CertificateError(f"annotation names unknown node {node}")
+        if not all(type(i) is int and 0 <= i < size for i in entry):
+            raise CertificateError(f"bad pool ids at node {node}")
+    return ids
+
+
 def absolute_annotation(annotation: Mapping[str, object]) -> Dict[str, object]:
     """Re-encode an annotation with delta encoding *and* structure
     sharing disabled (for size comparisons in EXPERIMENTS.md E11).

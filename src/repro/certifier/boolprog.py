@@ -330,10 +330,10 @@ def record_alarms(
 
 
 def collect_alarms(
-    program: BoolProgram, may_one: Mapping[int, int],
-    may_zero: Mapping[int, int], provenance: Optional[Dict] = None,
+    program: BoolProgram, masks: Mapping[int, Tuple[int, int]],
+    provenance: Optional[Dict] = None,
 ) -> List[Alarm]:
-    """The alarms of per-node may-1 / may-0 masks: one per checked
+    """The alarms of per-node (may-1, may-0) masks: one per checked
     (site, variable) that may be 1 at a reached check, definite where
     it may not be 0; ``provenance`` adds each alarm's witness trace."""
     from repro.certifier.witness import format_trace, trace
@@ -341,10 +341,9 @@ def collect_alarms(
     alarms: List[Alarm] = []
     seen: Set[Tuple[int, int]] = set()
     for edge in program.edges:
-        one = may_one.get(edge.src)
-        if one is None:
+        if edge.src not in masks:
             continue  # unreachable
-        zero = may_zero.get(edge.src, 0)
+        one, zero = masks[edge.src]
         for check in edge.checks:
             if not one >> check.var & 1:
                 continue

@@ -38,22 +38,7 @@ from repro.certifier.report import Alarm, CertificationReport
 from repro.runtime import guard as _guard
 from repro.runtime.guard import ResourceExhausted, ResourceGovernor
 from repro.runtime.trace import phase as trace_phase
-from repro.util.worklist import make_worklist
-
-
-@dataclass
-class BitmaskSeed:
-    """Warm-start for :meth:`FdsSolver.solve` (incremental
-    recertification): the parent fixpoint's per-node masks on the clean
-    region (mapped to this program's node ids) plus the clean-frontier
-    nodes to schedule first.  Merges are bitwise ORs, so re-iterating
-    from a predecessor-closed slice of the old fixpoint reaches exactly
-    the cold fixpoint, and alarms are collected post-hoc from the final
-    masks either way."""
-
-    may_one: Dict[int, int]
-    may_zero: Dict[int, int]
-    frontier: Tuple[int, ...] = ()
+from repro.util.worklist import Schedule, Seed
 
 
 @dataclass
@@ -92,58 +77,41 @@ class FdsSolver:
         self.governor = governor
 
     def solve(
-        self, program: BoolProgram, seed: Optional[BitmaskSeed] = None
+        self, program: BoolProgram, seed: Optional[Seed] = None
     ) -> FdsResult:
-        governor = self.governor
+        """The least fixpoint; ``seed`` (node -> (may-1, may-0) masks on
+        a predecessor-closed clean region) warm-starts it.  Merges are
+        bitwise ORs, so a seeded run reaches exactly the cold fixpoint,
+        and alarms are collected post-hoc from the final masks either
+        way."""
         init_one = program.initial_mask()
         all_vars = (1 << program.num_vars) - 1
-        init_zero = all_vars & ~init_one
         provenance: Dict[Tuple[int, int], tuple] = {}
-        worklist = make_worklist(
-            program.entry,
-            lambda n: [e.dst for e in program.out_edges(n)],
-        )
-        if seed is None:
-            may_one: Dict[int, int] = {program.entry: init_one}
-            may_zero: Dict[int, int] = {program.entry: init_zero}
-            worklist.push(program.entry)
-        else:
-            may_one = dict(seed.may_one)
-            may_zero = dict(seed.may_zero)
-            for node in seed.frontier:
-                worklist.push(node)
-            if program.entry not in may_one:
-                may_one[program.entry] = init_one
-                may_zero[program.entry] = init_zero
-                worklist.push(program.entry)
+        schedule = Schedule(program)
+        masks, start = schedule.start(seed, (init_one, all_vars & ~init_one))
         prune = self.prune_requires
-        iterations = 0
+        out_edges = program.out_edges
+
+        def visit(node):
+            one, zero = masks[node]
+            grown = []
+            for edge in out_edges(node):
+                transferred = transfer(edge, one, zero, prune)
+                if transferred is None:
+                    continue  # definite failure: the edge kills all executions
+                old_one, old_zero = masks.get(edge.dst, (0, 0))
+                merged_one = old_one | transferred[0]
+                merged_zero = old_zero | transferred[1]
+                fresh = merged_one & ~old_one
+                if fresh:
+                    self._record_provenance(provenance, edge, one, fresh)
+                if fresh or merged_zero != old_zero:
+                    masks[edge.dst] = (merged_one, merged_zero)
+                    grown.append(edge.dst)
+            return grown
+
         try:
-            while worklist:
-                if governor is not None:
-                    governor.tick()
-                node = worklist.pop()
-                iterations += 1
-                one = may_one.get(node, 0)
-                zero = may_zero.get(node, 0)
-                for edge in program.out_edges(node):
-                    transferred = transfer(edge, one, zero, prune)
-                    if transferred is None:
-                        continue  # definite failure: the edge kills all executions
-                    new_one, new_zero = transferred
-                    old_one = may_one.get(edge.dst, 0)
-                    old_zero = may_zero.get(edge.dst, 0)
-                    merged_one = old_one | new_one
-                    merged_zero = old_zero | new_zero
-                    fresh = merged_one & ~old_one
-                    if fresh:
-                        self._record_provenance(
-                            provenance, edge, one, fresh
-                        )
-                    if merged_one != old_one or merged_zero != old_zero:
-                        may_one[edge.dst] = merged_one
-                        may_zero[edge.dst] = merged_zero
-                        worklist.push(edge.dst)
+            schedule.run(start, visit, governor=self.governor)
         except (ResourceExhausted, MemoryError) as error:
             # salvage: mid-run may-1 sets are a subset of the fixpoint's,
             # so alarms collected now persist into the completed run
@@ -151,19 +119,19 @@ class FdsSolver:
                 error,
                 engine="fds",
                 subject=program.name,
-                alarms=collect_alarms(
-                    program, may_one, may_zero, provenance
-                ),
+                alarms=collect_alarms(program, masks, provenance),
                 site_universe=_guard.boolprog_sites(program),
-                nodes_analyzed=len(may_one),
+                nodes_analyzed=len(masks),
                 nodes_total=_guard.node_count(program),
-                stats={"iterations": iterations},
+                stats={"iterations": schedule.iterations},
             )
-        alarms = collect_alarms(
-            program, may_one, may_zero, provenance
-        )
         return FdsResult(
-            program, may_one, may_zero, alarms, iterations, provenance
+            program,
+            {node: pair[0] for node, pair in masks.items()},
+            {node: pair[1] for node, pair in masks.items()},
+            collect_alarms(program, masks, provenance),
+            schedule.iterations,
+            provenance,
         )
 
     def _record_provenance(
@@ -206,7 +174,7 @@ def certify_fds(
     prune_requires: bool = True,
     governor: Optional[ResourceGovernor] = None,
     result_sink: Optional[List[FdsResult]] = None,
-    seed: Optional[BitmaskSeed] = None,
+    seed: Optional[Seed] = None,
 ) -> CertificationReport:
     """Convenience wrapper returning a report for one boolean program.
 

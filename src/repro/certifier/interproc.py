@@ -31,7 +31,7 @@ from repro.lang.types import Program
 from repro.runtime import guard as _guard
 from repro.runtime.guard import ResourceExhausted, ResourceGovernor
 from repro.runtime.trace import phase as trace_phase
-from repro.util.worklist import PriorityWorklist, reverse_postorder
+from repro.util.worklist import Schedule
 
 
 class InterproceduralCertifier:
@@ -54,8 +54,9 @@ class InterproceduralCertifier:
         self.prune_requires = prune_requires
         #: cooperative resource budgets, polled in both worklist loops
         self.governor = governor
-        #: per-space reverse-postorder priorities for the local fixpoints
-        self._rpo: Dict[str, Dict[int, int]] = {}
+        #: per-space worklist schedules for the local fixpoints, shared
+        #: by every (method, entry-vector) context over one space
+        self._schedules: Dict[str, Schedule] = {}
         #: set by a completed ``certify``: the tabulation fixpoint
         #: (per-context node masks + summary table) for certificate emission
         self.fixpoint: Optional[Dict[str, object]] = None
@@ -84,21 +85,6 @@ class InterproceduralCertifier:
         self._load_failed: Set[Tuple[str, int]] = set()
         self._space_keys: Dict[str, str] = {}
         self._analysis_key_memo: Optional[str] = None
-
-    def _local_worklist(self, qualified: str, boolprog):
-        """A fresh per-context worklist over one method's boolean CFG.
-
-        The RPO map is computed once per fact space and reused by every
-        (method, entry-vector) context analyzed over it.
-        """
-        priority = self._rpo.get(qualified)
-        if priority is None:
-            priority = reverse_postorder(
-                boolprog.entry,
-                lambda n: [e.dst for e in boolprog.out_edges(n)],
-            )
-            self._rpo[qualified] = priority
-        return PriorityWorklist(priority)
 
     # -- the tabulation ---------------------------------------------------------------------
 
@@ -529,17 +515,15 @@ class InterproceduralCertifier:
         seeds = [boolprog.entry] + [
             src for src, _dst, _stm in space.call_edges if src in states
         ]
-        local_work = self._local_worklist(qualified, boolprog)
-        for seed in seeds:
-            local_work.push(seed)
-        governor = self.governor
+        local = self._schedules.get(qualified)
+        if local is None:
+            local = self._schedules[qualified] = Schedule(boolprog)
         prune = self.prune_requires
-        while local_work:
-            if governor is not None:
-                governor.tick()
-            node = local_work.pop()
+
+        def visit(node):
             mask = states.get(node, 0)
             zmask = zeros.get(node, all_vars)
+            grown = []
             for edge in boolprog.out_edges(node):
                 self.stats["edge_visits"] += 1
                 call_stm = calls.get((edge.src, edge.dst))
@@ -567,7 +551,10 @@ class InterproceduralCertifier:
                 if merged != old or merged_zero != old_zero:
                     states[edge.dst] = merged
                     zeros[edge.dst] = merged_zero
-                    local_work.push(edge.dst)
+                    grown.append(edge.dst)
+            return grown
+
+        local.run(seeds, visit, governor=self.governor)
         exit_mask = states.get(boolprog.exit, 0)
         previous = memo.get(key)
         merged = exit_mask if previous is None else previous | exit_mask

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from repro.certifier.boolprog import (
     BoolProgram,
@@ -29,7 +29,7 @@ from repro.certifier.report import Alarm, CertificationReport
 from repro.runtime import guard as _guard
 from repro.runtime.guard import ResourceExhausted, ResourceGovernor
 from repro.runtime.trace import phase as trace_phase
-from repro.util.worklist import make_worklist
+from repro.util.worklist import Schedule, Seed
 
 
 class StateExplosion(ResourceExhausted):
@@ -46,21 +46,6 @@ class StateExplosion(ResourceExhausted):
         self, message: str, *, breach: str = "structures", partial=None
     ) -> None:
         super().__init__(message, breach=breach, partial=partial)
-
-
-@dataclass
-class RelationalSeed:
-    """Warm-start for :meth:`RelationalSolver.solve` (incremental
-    recertification): the parent fixpoint's valuation sets on the clean
-    region (mapped to this program's node ids) plus the clean-frontier
-    nodes to schedule first.  A seeded run recovers the cold run's alarm
-    set by replaying the check edges over the final states — equal to
-    cold accumulation because per-site hits are monotone ORs and the
-    cold run's last transfer of each edge saw its source's full final
-    valuation set."""
-
-    states: Dict[int, FrozenSet[int]]
-    frontier: Tuple[int, ...] = ()
 
 
 @dataclass
@@ -87,63 +72,59 @@ class RelationalSolver:
         self.governor = governor
 
     def solve(
-        self, program: BoolProgram, seed: Optional[RelationalSeed] = None
+        self, program: BoolProgram, seed: Optional[Seed] = None
     ) -> RelationalResult:
+        """The least fixpoint; ``seed`` (node -> valuation set on a
+        predecessor-closed clean region) warm-starts it.  A seeded run
+        recovers the cold run's alarm set by replaying the check edges
+        over the final states — equal to cold accumulation because
+        per-site hits are monotone ORs and the cold run's last transfer
+        of each edge saw its source's full final valuation set."""
         governor = self.governor
         step = partial(
             valuation_transfer,
             prune=self.prune_requires,
             apply_filters=self.apply_filters,
         )
-        init = frozenset([program.initial_mask()])
-        worklist = make_worklist(
-            program.entry,
-            lambda n: [e.dst for e in program.out_edges(n)],
+        schedule = Schedule(program)
+        states, start = schedule.start(
+            seed, {program.initial_mask()}, copy=set
         )
-        if seed is None:
-            states: Dict[int, Set[int]] = {program.entry: set(init)}
-            worklist.push(program.entry)
-        else:
-            states = {node: set(vals) for node, vals in seed.states.items()}
-            for node in seed.frontier:
-                worklist.push(node)
-            if program.entry not in states:
-                states[program.entry] = set(init)
-                worklist.push(program.entry)
         in_degree: Dict[int, int] = {}
         for edge in program.edges:
             in_degree[edge.dst] = in_degree.get(edge.dst, 0) + 1
         max_states = 1
-        iterations = 0
         alarm_hits: Dict[Tuple[int, int], List[bool]] = {}
-        try:
-            while worklist:
+
+        def visit(node):
+            nonlocal max_states
+            current = states.get(node, set())
+            grown = []
+            for edge in program.out_edges(node):
+                outgoing = step(edge, current, alarm_hits)
+                target = states.setdefault(edge.dst, set())
+                before = len(target)
+                # budget check *before* merging, so StateExplosion always
+                # reports the consistent pre-overflow count
+                size = len(target | outgoing)
+                if size > self.state_budget:
+                    raise StateExplosion(
+                        f"{program.name}: relational state set would grow "
+                        f"to {size} (> budget {self.state_budget}) at "
+                        f"node {edge.dst} "
+                        f"(in-degree {in_degree.get(edge.dst, 0)}); "
+                        f"pre-overflow count {before}"
+                    )
                 if governor is not None:
-                    governor.tick()
-                iterations += 1
-                node = worklist.pop()
-                current = states.get(node, set())
-                for edge in program.out_edges(node):
-                    outgoing = step(edge, current, alarm_hits)
-                    target = states.setdefault(edge.dst, set())
-                    before = len(target)
-                    # budget check *before* merging, so StateExplosion always
-                    # reports the consistent pre-overflow count
-                    grown = len(target | outgoing)
-                    if grown > self.state_budget:
-                        raise StateExplosion(
-                            f"{program.name}: relational state set would grow "
-                            f"to {grown} (> budget {self.state_budget}) at "
-                            f"node {edge.dst} "
-                            f"(in-degree {in_degree.get(edge.dst, 0)}); "
-                            f"pre-overflow count {before}"
-                        )
-                    if governor is not None:
-                        governor.check_structures(grown)
-                    target |= outgoing
-                    max_states = max(max_states, len(target))
-                    if len(target) != before:
-                        worklist.push(edge.dst)
+                    governor.check_structures(size)
+                target |= outgoing
+                max_states = max(max_states, len(target))
+                if len(target) != before:
+                    grown.append(edge.dst)
+            return grown
+
+        try:
+            schedule.run(start, visit, governor=governor)
         except (ResourceExhausted, MemoryError) as error:
             # mid-run alarm_hits only ever gain entries as states grow,
             # so the alarms confirmed so far survive into the fixpoint
@@ -155,14 +136,16 @@ class RelationalSolver:
                 site_universe=_guard.boolprog_sites(program),
                 nodes_analyzed=len(states),
                 nodes_total=_guard.node_count(program),
-                stats={"iterations": iterations, "max_states": max_states},
+                stats={
+                    "iterations": schedule.iterations,
+                    "max_states": max_states,
+                },
             )
         if seed is not None:
             # the seeded run never transferred the clean region's edges,
             # so its accumulated hits are partial — replay every check
-            # edge over the final states (the cold run's last transfer of
-            # each edge saw exactly this valuation set) and recover the
-            # cold high-water mark from the final sizes (sets only grow)
+            # edge over the final states, and recover the cold high-water
+            # mark from the final sizes (sets only grow)
             alarm_hits = {}
             for edge in program.edges:
                 if not edge.checks:
@@ -179,7 +162,7 @@ class RelationalSolver:
             {node: frozenset(vals) for node, vals in states.items()},
             alarms,
             max_states,
-            iterations,
+            schedule.iterations,
         )
 
 
@@ -187,7 +170,7 @@ def certify_relational(
     program: BoolProgram,
     *,
     result_sink: Optional[List[RelationalResult]] = None,
-    seed: Optional[RelationalSeed] = None,
+    seed: Optional[Seed] = None,
     **kwargs,
 ) -> CertificationReport:
     solver = RelationalSolver(**kwargs)

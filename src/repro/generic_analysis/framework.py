@@ -47,7 +47,7 @@ from repro.logic.terms import Base, Field, Fresh, Term
 from repro.runtime import guard as _guard
 from repro.runtime.guard import ResourceExhausted, ResourceGovernor
 from repro.runtime.trace import phase as trace_phase
-from repro.util.worklist import make_worklist
+from repro.util.worklist import Schedule, Seed
 
 
 class HeapDomain(ABC):
@@ -318,29 +318,20 @@ class _SpecRunner:
 # -- the fixpoint ------------------------------------------------------------------------
 
 
-@dataclass
-class GenericSeed:
-    """Warm-start for :func:`analyze_generic` (incremental
-    recertification): the parent fixpoint's per-node states on the clean
-    region (decoded via ``domain.state_from_json`` and mapped to this
-    CFG's node ids) plus the clean-frontier nodes to schedule first.
-    Joins are idempotent and states only climb, so the seeded run closes
-    on the cold fixpoint; the alarm pass is post-hoc over the final
-    states in both modes."""
-
-    states: Dict[int, object]
-    frontier: Tuple[int, ...] = ()
-
-
 def analyze_generic(
     inlined: InlinedProgram,
     domain: HeapDomain,
     engine_name: str,
     max_iterations: int = 200_000,
     governor: Optional[ResourceGovernor] = None,
-    seed: Optional[GenericSeed] = None,
+    seed: Optional[Seed] = None,
 ) -> GenericResult:
-    """Run a generic heap analysis over the composite program."""
+    """Run a generic heap analysis over the composite program.
+
+    ``seed`` (node -> heap state on a predecessor-closed clean region)
+    warm-starts it: joins are idempotent and states only climb, so the
+    seeded run closes on the cold fixpoint, and the alarm pass runs
+    post-hoc over the final states either way."""
     with trace_phase("fixpoint", engine=engine_name) as trace_meta:
         result = _analyze_generic(
             inlined, domain, engine_name, max_iterations, governor, seed,
@@ -357,6 +348,11 @@ def _collect_alarms(cfg, states, domain, runner) -> List[Alarm]:
         if state is None:
             continue
         _transfer(edge.stm, state, domain, runner, checks)
+    return alarms_from_checks(checks)
+
+
+def alarms_from_checks(checks) -> List[Alarm]:
+    """One alarm per site with a ``requires`` that was not must-true."""
     alarms: List[Alarm] = []
     seen = set()
     for site_id, line, op_key, ok in checks:
@@ -381,55 +377,42 @@ def _analyze_generic(
     engine_name: str,
     max_iterations: int,
     governor: Optional[ResourceGovernor] = None,
-    seed: Optional[GenericSeed] = None,
+    seed: Optional[Seed] = None,
 ) -> GenericResult:
     spec = inlined.program.spec
     runner = _SpecRunner(spec, domain)
     cfg = inlined.cfg
-    worklist = make_worklist(
-        cfg.entry,
-        lambda n: [e.dst for e in cfg.out_edges(n)],
-    )
-    if seed is None:
-        states: Dict[int, object] = {cfg.entry: domain.initial()}
-        worklist.push(cfg.entry)
-    else:
-        states = dict(seed.states)
-        for node in seed.frontier:
-            worklist.push(node)
-        if cfg.entry not in states:
-            states[cfg.entry] = domain.initial()
-            worklist.push(cfg.entry)
-    iterations = 0
-    try:
-        while worklist:
-            if governor is not None:
-                governor.tick()
-            iterations += 1
-            if iterations > max_iterations:
-                raise RuntimeError(
-                    f"{engine_name}: fixpoint exceeded "
-                    f"{max_iterations} steps"
+    schedule = Schedule(cfg)
+    states, start = schedule.start(seed, domain.initial())
+
+    def visit(node):
+        state = states.get(node)
+        if state is None:
+            return ()
+        grown = []
+        for edge in cfg.out_edges(node):
+            for successor in _transfer(edge.stm, state, domain, runner, None):
+                old = states.get(edge.dst)
+                merged = (
+                    successor if old is None else domain.join(old, successor)
                 )
-            node = worklist.pop()
-            state = states.get(node)
-            if state is None:
-                continue
-            for edge in cfg.out_edges(node):
-                for successor in _transfer(
-                    edge.stm, state, domain, runner, None
-                ):
-                    old = states.get(edge.dst)
-                    merged = (
-                        successor
-                        if old is None
-                        else domain.join(old, successor)
-                    )
-                    if old is None or merged != old:
-                        states[edge.dst] = merged
-                        if governor is not None:
-                            governor.check_structures(len(states))
-                        worklist.push(edge.dst)
+                if old is None or merged != old:
+                    states[edge.dst] = merged
+                    if governor is not None:
+                        governor.check_structures(len(states))
+                    grown.append(edge.dst)
+        return grown
+
+    try:
+        # the step budget raises a plain RuntimeError, not a
+        # ResourceExhausted: a generic analysis that runs away is a
+        # defect, not a budget to salvage
+        iterations = schedule.run(
+            start, visit, governor=governor, limit=max_iterations,
+            exceeded=lambda: RuntimeError(
+                f"{engine_name}: fixpoint exceeded {max_iterations} steps"
+            ),
+        )
     except (ResourceExhausted, MemoryError) as error:
         # salvage: sites that *already* fail their must-alias check in
         # the mid-run states are alarmed; everything else stays unknown
@@ -443,7 +426,7 @@ def _analyze_generic(
             site_universe=_guard.cfg_sites(cfg, spec),
             nodes_analyzed=len(states),
             nodes_total=_guard.node_count(cfg),
-            stats={"iterations": iterations},
+            stats={"iterations": schedule.iterations},
         )
     # final pass: evaluate the requires clauses in the settled states
     alarms = _collect_alarms(cfg, states, domain, runner)

@@ -10,9 +10,12 @@ a from-scratch run while re-iterating only the dirty region:
 2. align the two with :func:`repro.incr.dirty.match_graphs` and take the
    predecessor-closed clean region — node-by-node, the parent's fixpoint
    annotation *is* the new fixpoint there;
-3. decode the parent annotation on the clean region, seed the engine's
-   worklist solver with it, schedule only the clean frontier (plus the
-   entry when dirty), and iterate to closure;
+3. decode the parent annotation with the checker's own decoder for the
+   family (:mod:`repro.cert.model`), restrict it to the clean region as
+   a :class:`~repro.util.worklist.Seed`, and run the engine's ordinary
+   fixpoint from it: the one worklist driver
+   (:class:`~repro.util.worklist.Schedule`) pops only the clean frontier
+   (plus the entry when dirty) first and iterates to closure;
 4. recover the alarm set by the engines' post-hoc / replay passes over
    the final states, which coincide with cold-run accumulation.
 
@@ -27,14 +30,11 @@ cannot be cut against.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Optional
 
 from repro.cert import model
 from repro.cert.model import ConformanceCertificate
-from repro.certifier.fds import BitmaskSeed, certify_fds
-from repro.certifier.relational import RelationalSeed, certify_relational
 from repro.certifier.report import CertificationReport
-from repro.generic_analysis.framework import GenericSeed, analyze_generic
 from repro.incr.dirty import (
     bool_edge_label,
     cfg_edge_label,
@@ -44,7 +44,7 @@ from repro.incr.dirty import (
 )
 from repro.lang.types import parse_program
 from repro.runtime.trace import note, phase
-from repro.tvla.engine import TvlaSeed
+from repro.util.worklist import Seed
 
 
 class _Fallback(Exception):
@@ -57,7 +57,7 @@ class _Fallback(Exception):
 
 def _parent_cache(session, parent: ConformanceCertificate) -> dict:
     """Per-session memo of *parent-derived* work (parsed parent source,
-    decoded annotation pools): a daemon replays one parent against many
+    decoded annotation): a daemon replays one parent against many
     edited children, so this pays off across requests.  Nothing derived
     from the child is cached here — graph matching stays per-request.
 
@@ -152,18 +152,36 @@ def recertify(
             if governor is None:
                 governor = session._make_governor()
             if engine in ("fds", "relational"):
-                report, capture, clean, total = _recertify_bool(
-                    session, engine, arts, parent_arts, annotation, governor
-                )
+                family = _bool_family
             elif engine.startswith("tvla-"):
-                report, capture, clean, total = _recertify_tvla(
-                    session, arts, parent_arts, annotation, governor, cache
-                )
+                family = _tvla_family
             else:
-                report, capture, clean, total = _recertify_generic(
-                    session, engine, arts, parent_arts, annotation, governor,
-                    cache,
-                )
+                family = _generic_family
+            graph, old, label, decode = family(engine, arts, parent_arts)
+            new_edges = [(e.src, e.dst, label(e)) for e in graph.edges]
+            mapping, clean = match_graphs(
+                old.entry,
+                [(e.src, e.dst, label(e)) for e in old.edges],
+                graph.entry,
+                new_edges,
+            )
+            parent_states = cache.get("states")
+            if parent_states is None:
+                try:
+                    parent_states = decode(annotation, set(old.nodes()))
+                except Exception:
+                    raise _Fallback("annotation-decode")
+                cache["states"] = parent_states
+            seed = Seed(
+                {
+                    node: parent_states[mapping[node]]
+                    for node in clean
+                    if mapping[node] in parent_states
+                },
+                tuple(clean_frontier(clean, new_edges)),
+            )
+            report, capture = session._fixpoint(engine, arts, governor, seed)
+            clean, total = len(clean), len(set(graph.nodes()))
             meta.update(clean_nodes=clean, total_nodes=total)
         report.stats["incremental"] = {
             "clean_nodes": clean,
@@ -178,10 +196,11 @@ def recertify(
 
 
 def _guard_universe(engine: str, arts, annotation) -> None:
-    """The universe checks that need only the child's artifacts and the
-    parent's annotation: its variable count (fds, relational), or the
-    predicates its TVLA pool names.  A malformed pool is left to the
-    decoding step, which reports it."""
+    """The checks that need only the child's artifacts and the parent's
+    annotation: its kind (and mode or domain), and its universe — the
+    variable count (fds, relational) or the predicates its TVLA pool
+    names.  A malformed pool is left to the decoding step, which reports
+    it."""
     if engine in ("fds", "relational"):
         if annotation.get("kind") != engine:
             raise _Fallback("annotation-kind")
@@ -203,12 +222,20 @@ def _guard_universe(engine: str, arts, annotation) -> None:
             return
         if not named <= arts["tvp"].predicates.keys():
             raise _Fallback("universe-mismatch")
+    elif annotation.get("kind") != "generic" or annotation.get(
+        "domain"
+    ) != engine:
+        raise _Fallback("annotation-kind")
 
 
-# -- family drivers ---------------------------------------------------------
+# -- families ---------------------------------------------------------------
+#
+# A family names the child's and the parent's graph, how their edges are
+# labelled for matching, and how the parent's annotation decodes into
+# the engine's states — everything else is shared.
 
 
-def _recertify_bool(session, engine, arts, parent_arts, annotation, governor):
+def _bool_family(engine, arts, parent_arts):
     boolprog = arts["boolprog"]
     old = parent_arts["boolprog"]
     if old.num_vars != boolprog.num_vars or tuple(
@@ -217,197 +244,44 @@ def _recertify_bool(session, engine, arts, parent_arts, annotation, governor):
         raise _Fallback("universe-mismatch")
     if old.initial_mask() != boolprog.initial_mask():
         raise _Fallback("universe-mismatch")
-    mapping, clean = match_graphs(
-        old.entry,
-        [(e.src, e.dst, bool_edge_label(e)) for e in old.edges],
-        boolprog.entry,
-        [(e.src, e.dst, bool_edge_label(e)) for e in boolprog.edges],
-    )
-    new_edges = [
-        (e.src, e.dst, bool_edge_label(e)) for e in boolprog.edges
-    ]
-    options = session.options
     if engine == "fds":
-        try:
-            masks = model.decode_masks(annotation["nodes"])
-        except Exception:
-            raise _Fallback("annotation-decode")
-        may_one: Dict[int, int] = {}
-        may_zero: Dict[int, int] = {}
-        for node in clean:
-            pair = masks.get(mapping[node])
-            if pair is not None:
-                may_one[node], may_zero[node] = pair
-        seed = BitmaskSeed(
-            may_one,
-            may_zero,
-            tuple(
-                n
-                for n in clean_frontier(clean, new_edges)
-                if n in may_one
-            ),
-        )
-        sink: List[object] = []
-        report = certify_fds(
-            boolprog,
-            prune_requires=options.prune_requires,
-            governor=governor,
-            result_sink=sink,
-            seed=seed,
-        )
+
+        def decode(annotation, nodes):
+            return model.decode_masks(annotation["nodes"])
+
     else:
-        try:
-            sets = model.decode_int_sets(annotation["nodes"])
-        except Exception:
-            raise _Fallback("annotation-decode")
-        states = {
-            node: sets[mapping[node]]
-            for node in clean
-            if mapping[node] in sets
-        }
-        seed = RelationalSeed(
-            states,
-            tuple(
-                n
-                for n in clean_frontier(clean, new_edges)
-                if states.get(n)
-            ),
-        )
-        sink = []
-        report = certify_relational(
-            boolprog,
-            prune_requires=options.prune_requires,
-            governor=governor,
-            result_sink=sink,
-            seed=seed,
-        )
-    return report, {"result": sink[0]}, len(clean), len(set(boolprog.nodes()))
+
+        def decode(annotation, nodes):
+            return model.decode_valuations(
+                annotation, boolprog.num_vars, nodes
+            )
+
+    return boolprog, old, bool_edge_label, decode
 
 
-def _recertify_tvla(session, arts, parent_arts, annotation, governor, cache):
-    engine_obj = arts["engine_obj"]
+def _tvla_family(engine, arts, parent_arts):
     tvp = arts["tvp"]
     old = parent_arts["tvp"]
-    mode = arts["mode"]
     if old.predicates != tvp.predicates:
         raise _Fallback("universe-mismatch")
     if getattr(old, "initially_true_nullary", None) != getattr(
         tvp, "initially_true_nullary", None
     ):
         raise _Fallback("universe-mismatch")
-    mapping, clean = match_graphs(
-        old.entry,
-        [(e.src, e.dst, tvp_edge_label(e)) for e in old.edges],
-        tvp.entry,
-        [(e.src, e.dst, tvp_edge_label(e)) for e in tvp.edges],
-    )
-    new_edges = [(e.src, e.dst, tvp_edge_label(e)) for e in tvp.edges]
-    preds = engine_obj.abstraction_preds
-    cached = cache.get("tvla_pool")
-    if cached is None:
-        try:
-            pool = [
-                model.structure_from_json(entry).canonicalize(preds)
-                for entry in annotation.get("pool", [])
-            ]
-        except Exception:
-            raise _Fallback("annotation-decode")
-        keys = [structure.canonical_key(preds) for structure in pool]
-        cache["tvla_pool"] = (pool, keys)
-    else:
-        pool, keys = cached
-    if mode == "relational":
-        try:
-            id_sets = model.decode_int_sets(annotation["nodes"])
-        except Exception:
-            raise _Fallback("annotation-decode")
-        if any(
-            i < 0 or i >= len(pool) for ids in id_sets.values() for i in ids
-        ):
-            raise _Fallback("annotation-decode")
-        states = {}
-        for node in clean:
-            ids = id_sets.get(mapping[node])
-            if ids is not None:
-                states[node] = {keys[i]: pool[i] for i in sorted(ids)}
-        seed = TvlaSeed(
-            states=states,
-            frontier=tuple(
-                n
-                for n in clean_frontier(clean, new_edges)
-                if states.get(n)
-            ),
-        )
-    else:
-        try:
-            singles = {
-                int(node): pool[i] for node, i in annotation["nodes"]
-            }
-        except Exception:
-            raise _Fallback("annotation-decode")
-        single = {
-            node: singles[mapping[node]]
-            for node in clean
-            if mapping[node] in singles
-        }
-        seed = TvlaSeed(
-            single=single,
-            frontier=tuple(
-                n
-                for n in clean_frontier(clean, new_edges)
-                if n in single
-            ),
-        )
-    result = engine_obj.run(governor, seed)
-    report = result.report
-    return report, {"result": result}, len(clean), len(set(tvp.nodes()))
-
-
-def _recertify_generic(
-    session, engine, arts, parent_arts, annotation, governor, cache
-):
-    domain = arts["domain"]
-    cfg = arts["inlined"].cfg
-    old_cfg = parent_arts["inlined"].cfg
-    if annotation.get("kind") != "generic" or annotation.get("domain") != engine:
-        raise _Fallback("annotation-kind")
-    mapping, clean = match_graphs(
-        old_cfg.entry,
-        [(e.src, e.dst, cfg_edge_label(e)) for e in old_cfg.edges],
-        cfg.entry,
-        [(e.src, e.dst, cfg_edge_label(e)) for e in cfg.edges],
-    )
-    new_edges = [(e.src, e.dst, cfg_edge_label(e)) for e in cfg.edges]
-    old_states = cache.get("generic_states")
-    if old_states is None:
-        try:
-            pool = [
-                domain.state_from_json(entry)
-                for entry in annotation.get("pool", [])
-            ]
-            old_states = {
-                int(node): pool[i] for node, i in annotation["nodes"]
-            }
-        except Exception:
-            raise _Fallback("annotation-decode")
-        cache["generic_states"] = old_states
-    states = {
-        node: old_states[mapping[node]]
-        for node in clean
-        if mapping[node] in old_states
-    }
-    seed = GenericSeed(
-        states,
-        tuple(
-            n for n in clean_frontier(clean, new_edges) if n in states
+    preds = arts["engine_obj"].abstraction_preds
+    return (
+        tvp, old, tvp_edge_label,
+        lambda annotation, nodes: model.decode_structures(
+            annotation, preds, nodes
         ),
     )
-    result = analyze_generic(
-        arts["inlined"],
-        domain,
-        engine,
-        governor=governor,
-        seed=seed,
+
+
+def _generic_family(engine, arts, parent_arts):
+    domain = arts["domain"]
+    return (
+        arts["inlined"].cfg, parent_arts["inlined"].cfg, cfg_edge_label,
+        lambda annotation, nodes: model.decode_heap_states(
+            annotation, domain, nodes
+        ),
     )
-    report = result.report
-    return report, {"result": result}, len(clean), len(set(cfg.nodes()))

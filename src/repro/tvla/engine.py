@@ -17,7 +17,7 @@ predicate false on the surviving state.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Tuple
 
 from repro.certifier.report import Alarm, CertificationReport
@@ -29,7 +29,7 @@ from repro.runtime import guard as _guard
 from repro.runtime.guard import ResourceExhausted, ResourceGovernor
 from repro.runtime.trace import phase as trace_phase
 from repro.tvp.program import Action, TvpProgram
-from repro.util.worklist import make_worklist
+from repro.util.worklist import Schedule, Seed
 
 
 class TvlaBudgetExceeded(ResourceExhausted):
@@ -63,28 +63,6 @@ class _CheckContribution:
 
 
 @dataclass
-class TvlaSeed:
-    """Warm-start for :meth:`TvlaEngine.run` (incremental recertification).
-
-    ``states`` / ``single`` carry the parent fixpoint's annotations on
-    the *clean* nodes (already mapped to this program's node ids);
-    ``frontier`` lists the clean nodes with at least one dirty successor
-    — the only places new work can originate.  The seeded run converges
-    to the same least fixpoint as a cold run (the seed is exactly the
-    cold fixpoint restricted to a predecessor-closed region), and alarms
-    are then recovered by a checker-style replay over the final states,
-    which coincides with cold-run accumulation because per-site
-    contributions are monotone (``alarmed`` ORs, ``all_fail`` ANDs) and
-    every structure the cold run ever applied persists in the final
-    relational buckets.
-    """
-
-    states: Optional[Dict[int, Dict[object, PackedStructure]]] = None
-    single: Optional[Dict[int, PackedStructure]] = None
-    frontier: Tuple[int, ...] = ()
-
-
-@dataclass
 class TvlaResult:
     report: CertificationReport
     iterations: int
@@ -95,8 +73,7 @@ class TvlaResult:
     #: the fixpoint annotation for certificate emission: relational mode
     #: records the per-node structure sets (keyed canonically),
     #: independent mode the single per-node structure
-    node_states: Optional[Dict[int, Dict[object, PackedStructure]]] = None
-    node_single: Optional[Dict[int, PackedStructure]] = None
+    node_states: Optional[Dict[int, object]] = None
 
 
 class TvlaEngine:
@@ -331,8 +308,17 @@ class TvlaEngine:
     def run(
         self,
         governor: Optional[ResourceGovernor] = None,
-        seed: Optional[TvlaSeed] = None,
+        seed: Optional[Seed] = None,
     ) -> TvlaResult:
+        """The fixpoint; ``seed`` (node -> canonical-key bucket in
+        relational mode, node -> structure in independent mode, on a
+        predecessor-closed clean region) warm-starts it.  The seeded run
+        converges to the same least fixpoint as a cold run, and alarms
+        are then recovered by a checker-style replay over the final
+        states, which coincides with cold-run accumulation because
+        per-site contributions are monotone (``alarmed`` ORs,
+        ``all_fail`` ANDs) and every structure the cold run ever applied
+        persists in the final relational buckets."""
         with trace_phase(
             "fixpoint", engine=f"tvla-{self.mode}"
         ) as trace_meta:
@@ -343,13 +329,8 @@ class TvlaEngine:
             )
         return result
 
-    def _successors(self, node: int) -> List[int]:
-        return [edge.dst for edge in self.tvp.out_edges(node)]
-
     def _replay_checks(
-        self,
-        states: Dict[int, Dict[object, PackedStructure]],
-        single: Dict[int, PackedStructure],
+        self, states: Dict[int, object]
     ) -> Dict[Tuple[int, str], _CheckContribution]:
         """Evaluate every check edge over the final states (focus + check
         only — updates cannot touch the alarm sink), exactly what the
@@ -363,7 +344,7 @@ class TvlaEngine:
                     for focused in self._focus(structure, edge.action):
                         self._check(focused, edge.action, alarms)
             else:
-                current = single.get(edge.src)
+                current = states.get(edge.src)
                 if current is not None:
                     self._check(current, edge.action, alarms)
         return alarms
@@ -371,161 +352,116 @@ class TvlaEngine:
     def _run(
         self,
         governor: Optional[ResourceGovernor] = None,
-        seed: Optional[TvlaSeed] = None,
+        seed: Optional[Seed] = None,
     ) -> TvlaResult:
         started = time.perf_counter()
         alarms: Dict[Tuple[int, str], _CheckContribution] = {}
         preds = self.abstraction_preds
         initial = self.initial_structure().canonicalize(preds)
-        iterations = 0
         max_structures = 1
         transfer_hits = 0
         transfer_misses = 0
-        worklist = make_worklist(self.tvp.entry, self._successors)
-        if seed is None:
-            worklist.push(self.tvp.entry)
+        out_edges = self.tvp.out_edges
+        schedule = Schedule(self.tvp)
+        if self.mode == "relational":
+            states, start = schedule.start(
+                seed, {initial.canonical_key(preds): initial}, copy=dict
+            )
         else:
-            for node in seed.frontier:
-                worklist.push(node)
-        states: Dict[int, Dict[object, PackedStructure]] = {}
-        single: Dict[int, PackedStructure] = {}
-        try:
-            if self.mode == "relational":
-                if seed is None:
-                    states = {
-                        self.tvp.entry: {
-                            initial.canonical_key(preds): initial
-                        }
-                    }
-                else:
-                    states = {
-                        node: dict(bucket)
-                        for node, bucket in (seed.states or {}).items()
-                    }
-                    if self.tvp.entry not in states:
-                        # dirty entry: it contributes the initial state
-                        states[self.tvp.entry] = {
-                            initial.canonical_key(preds): initial
-                        }
-                        worklist.push(self.tvp.entry)
-                # isomorphic structures share a canonical key, so a
-                # revisited (action, structure) pair — within this run
-                # or a later one — skips focus / checks / update /
-                # coerce and replays its recorded alarm contributions
-                # instead
-                transfers = self._transfers
-                while worklist:
-                    if governor is not None:
-                        governor.tick()
-                    iterations += 1
-                    if iterations > self.iteration_budget:
-                        raise TvlaBudgetExceeded(
-                            "iteration budget exceeded"
-                        )
-                    node = worklist.pop()
-                    here = list(states.get(node, {}).items())
-                    for edge in self.tvp.out_edges(node):
-                        action_id = id(edge.action)
-                        for skey, structure in here:
-                            cached = transfers.get((action_id, skey))
-                            if cached is None:
-                                transfer_misses += 1
-                                local: Dict[
-                                    Tuple[int, str], _CheckContribution
-                                ] = {}
-                                cached = (
-                                    [
-                                        (out.canonical_key(preds), out)
-                                        for out in self.apply(
-                                            structure, edge.action, local
-                                        )
-                                    ],
-                                    local,
+            states, start = schedule.start(seed, initial)
+        # isomorphic structures share a canonical key, so a revisited
+        # (action, structure) pair — within this run or a later one —
+        # skips focus / checks / update / coerce and replays its
+        # recorded alarm contributions instead
+        transfers = self._transfers
+
+        def visit_relational(node):
+            nonlocal max_structures, transfer_hits, transfer_misses
+            here = list(states.get(node, {}).items())
+            grown = []
+            for edge in out_edges(node):
+                action_id = id(edge.action)
+                for skey, structure in here:
+                    cached = transfers.get((action_id, skey))
+                    if cached is None:
+                        transfer_misses += 1
+                        local: Dict[Tuple[int, str], _CheckContribution] = {}
+                        cached = (
+                            [
+                                (out.canonical_key(preds), out)
+                                for out in self.apply(
+                                    structure, edge.action, local
                                 )
-                                transfers[(action_id, skey)] = cached
-                            else:
-                                transfer_hits += 1
-                            outs, contribs = cached
-                            # merge recorded contributions: `alarmed` ORs
-                            # and `all_fail` ANDs over every contribution
-                            # at a site, so the replay is idempotent and
-                            # order-independent
-                            for akey, contrib in contribs.items():
-                                existing = alarms.get(akey)
-                                if existing is None:
-                                    alarms[akey] = _CheckContribution(
-                                        line=contrib.line,
-                                        op_key=contrib.op_key,
-                                        instance=contrib.instance,
-                                        alarmed=contrib.alarmed,
-                                        all_fail=contrib.all_fail,
-                                    )
-                                else:
-                                    existing.merge(
-                                        contrib.alarmed, contrib.all_fail
-                                    )
-                            bucket = states.setdefault(edge.dst, {})
-                            changed = False
-                            for okey, out in outs:
-                                if okey in bucket:
-                                    continue
-                                bucket[okey] = out
-                                changed = True
-                                max_structures = max(
-                                    max_structures, len(bucket)
-                                )
-                                if len(bucket) > self.structure_budget:
-                                    raise TvlaBudgetExceeded(
-                                        f"more than "
-                                        f"{self.structure_budget} "
-                                        f"structures at node {edge.dst}",
-                                        breach="structures",
-                                    )
-                                if governor is not None:
-                                    governor.check_structures(
-                                        len(bucket)
-                                    )
-                            if changed:
-                                worklist.push(edge.dst)
-            else:
-                if seed is None:
-                    single = {self.tvp.entry: initial}
-                else:
-                    single = dict(seed.single or {})
-                    if self.tvp.entry not in single:
-                        single[self.tvp.entry] = initial
-                        worklist.push(self.tvp.entry)
-                while worklist:
-                    if governor is not None:
-                        governor.tick()
-                    iterations += 1
-                    if iterations > self.iteration_budget:
-                        raise TvlaBudgetExceeded(
-                            "iteration budget exceeded"
+                            ],
+                            local,
                         )
-                    node = worklist.pop()
-                    current = single.get(node)
-                    if current is None:
-                        continue
-                    for edge in self.tvp.out_edges(node):
-                        for out in self.apply(
-                            current, edge.action, alarms
-                        ):
-                            old = single.get(edge.dst)
-                            if old is None:
-                                merged = out
-                            else:
-                                merged = PackedStructure.join(
-                                    old, out, preds
-                                ).canonicalize(preds)
-                            old_key = (
-                                None
-                                if old is None
-                                else old.canonical_key(preds)
+                        transfers[(action_id, skey)] = cached
+                    else:
+                        transfer_hits += 1
+                    outs, contribs = cached
+                    # merge recorded contributions: `alarmed` ORs and
+                    # `all_fail` ANDs over every contribution at a site,
+                    # so the replay is idempotent and order-independent
+                    for akey, contrib in contribs.items():
+                        existing = alarms.get(akey)
+                        if existing is None:
+                            alarms[akey] = replace(contrib)
+                        else:
+                            existing.merge(contrib.alarmed, contrib.all_fail)
+                    bucket = states.setdefault(edge.dst, {})
+                    changed = False
+                    for okey, out in outs:
+                        if okey in bucket:
+                            continue
+                        bucket[okey] = out
+                        changed = True
+                        max_structures = max(max_structures, len(bucket))
+                        if len(bucket) > self.structure_budget:
+                            raise TvlaBudgetExceeded(
+                                f"more than {self.structure_budget} "
+                                f"structures at node {edge.dst}",
+                                breach="structures",
                             )
-                            if old_key != merged.canonical_key(preds):
-                                single[edge.dst] = merged
-                                worklist.push(edge.dst)
+                        if governor is not None:
+                            governor.check_structures(len(bucket))
+                    if changed:
+                        grown.append(edge.dst)
+            return grown
+
+        def visit_independent(node):
+            current = states.get(node)
+            if current is None:
+                return ()
+            grown = []
+            for edge in out_edges(node):
+                for out in self.apply(current, edge.action, alarms):
+                    old = states.get(edge.dst)
+                    if old is None:
+                        merged = out
+                    else:
+                        merged = PackedStructure.join(
+                            old, out, preds
+                        ).canonicalize(preds)
+                    old_key = None if old is None else old.canonical_key(preds)
+                    if old_key != merged.canonical_key(preds):
+                        states[edge.dst] = merged
+                        grown.append(edge.dst)
+            return grown
+
+        try:
+            iterations = schedule.run(
+                start,
+                (
+                    visit_relational
+                    if self.mode == "relational"
+                    else visit_independent
+                ),
+                governor=governor,
+                limit=self.iteration_budget,
+                exceeded=lambda: TvlaBudgetExceeded(
+                    "iteration budget exceeded"
+                ),
+            )
         except (ResourceExhausted, MemoryError) as error:
             # salvage: alarm contributions only accumulate (`alarmed`
             # ORs upward), so sites alarmed mid-run stay alarmed in the
@@ -536,10 +472,10 @@ class TvlaEngine:
                 subject=self.tvp.name,
                 alarms=_alarm_list(alarms),
                 site_universe=_guard.tvp_sites(self.tvp),
-                nodes_analyzed=len(states) or len(single),
+                nodes_analyzed=len(states),
                 nodes_total=len(self.tvp.nodes()),
                 stats={
-                    "iterations": iterations,
+                    "iterations": schedule.iterations,
                     "max_structures": max_structures,
                 },
             )
@@ -548,10 +484,10 @@ class TvlaEngine:
             # its accumulated contributions are partial — recover the
             # cold-run alarm set by a checker-style replay of every check
             # edge over the final states (equal to cold accumulation: see
-            # TvlaSeed), and the cold-run structure high-water mark from
-            # the final bucket sizes (buckets only grow, so the cold
-            # running max is the final max)
-            alarms = self._replay_checks(states, single)
+            # run), and the cold-run structure high-water mark from the
+            # final bucket sizes (buckets only grow, so the cold running
+            # max is the final max)
+            alarms = self._replay_checks(states)
             if self.mode == "relational":
                 max_structures = max(
                     1, max((len(b) for b in states.values()), default=1)
@@ -578,8 +514,7 @@ class TvlaEngine:
             max_structures,
             transfer_hits,
             transfer_misses,
-            node_states=states if self.mode == "relational" else None,
-            node_single=single if self.mode == "independent" else None,
+            node_states=states,
         )
 
 

@@ -1,9 +1,10 @@
-"""Shared utilities: lexing, source positions, the RPO worklist."""
+"""Shared utilities: lexing, source positions, the worklist driver."""
 
 from repro.util.lexer import Lexer, LexError, Token
 from repro.util.worklist import (
     PriorityWorklist,
-    make_worklist,
+    Schedule,
+    Seed,
     reverse_postorder,
 )
 
@@ -12,6 +13,7 @@ __all__ = [
     "LexError",
     "Token",
     "PriorityWorklist",
-    "make_worklist",
+    "Schedule",
+    "Seed",
     "reverse_postorder",
 ]

@@ -4,8 +4,8 @@ The checker is the light side of proof-carrying code: it replays an
 annotation, so it needs no fixpoint engine, and a held checker keeps per
 recent client only what that replay reads.  These tests pin both: the
 modules ``cert/check.py`` imports, and the objects a checker still
-reaches after checking an interproc certificate, which must include no
-parsed program.  A re-check of the same certificate must then neither
+reaches after checking a certificate, which must include no parsed
+program, method or CFG.  A re-check of the same certificate must then neither
 parse the source nor build a fact space.
 """
 
@@ -25,6 +25,7 @@ from repro.certifier.spaces import FactSpaces
 from repro.lang import types as lang_types
 from repro.lang.cfg import CFG
 from repro.lang.types import MethodInfo, Program
+from repro.suite import by_name
 
 #: the fixpoint engines and their worklists
 ENGINE_MODULES = {
@@ -79,16 +80,39 @@ def _reachable(root) -> list:
 
 
 @pytest.fixture(scope="module")
-def library_certificate(cmp_specification):
+def certificates(cmp_specification):
+    """engine -> certificate: fig3 on fds and relational, one
+    ``make_shared_library(200)`` client on interproc, and fig1_heap on
+    a TVLA and a heap-domain engine."""
     session = CertifySession(
         cmp_specification, options=CertifyOptions(emit_certificate=True)
     )
-    return session.certify(make_shared_library(200), "interproc").certificate
+    sources = {
+        "fds": by_name("fig3").source,
+        "relational": by_name("fig3").source,
+        "interproc": make_shared_library(200),
+        "tvla-relational": by_name("fig1_heap").source,
+        "allocsite": by_name("fig1_heap").source,
+    }
+    return {
+        engine: session.certify(source, engine).certificate
+        for engine, source in sources.items()
+    }
 
 
+@pytest.fixture(scope="module")
+def library_certificate(certificates):
+    return certificates["interproc"]
+
+
+@pytest.mark.parametrize(
+    "engine",
+    ["fds", "relational", "interproc", "tvla-relational", "allocsite"],
+)
 def test_held_checker_keeps_no_program_and_rechecks_without_parsing(
-    library_certificate, monkeypatch
+    certificates, engine, monkeypatch
 ):
+    certificate = certificates[engine]
     parses = []
     built = []
     parse_program = lang_types.parse_program
@@ -105,17 +129,22 @@ def test_held_checker_keeps_no_program_and_rechecks_without_parsing(
         or space(facts, qualified),
     )
     checker = CertificateChecker()
-    assert checker.check(library_certificate).ok
-    assert parses and built
+    assert checker.check(certificate).ok
+    assert parses
+    assert bool(built) == (engine == "interproc")
+    # a heap domain replays over the inlined CFG itself
+    kinds = (Program, MethodInfo) if engine == "allocsite" else (
+        Program, MethodInfo, CFG
+    )
     kept = [
         type(obj).__name__
         for obj in _reachable(checker)
-        if isinstance(obj, (Program, MethodInfo, CFG))
+        if isinstance(obj, kinds)
     ]
     assert not kept
     parses.clear()
     built.clear()
-    assert checker.check(library_certificate).ok
+    assert checker.check(certificate).ok
     assert parses == []
     assert built == []
 

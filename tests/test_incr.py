@@ -3,6 +3,7 @@ seeded fixpoints byte-identical to from-scratch runs, store lineage,
 and the serve daemon's near-hit path."""
 
 import asyncio
+import copy
 
 import pytest
 
@@ -30,6 +31,8 @@ ENGINES = (
     "tvla-relational",
     "tvla-independent",
     "allocsite",
+    "allocsite-recency",
+    "shapegraph",
 )
 
 
@@ -242,6 +245,40 @@ class TestIncrementalEquality:
             if event.phase == "incremental-fallback"
         ]
         assert reasons == ["universe-mismatch"]
+        assert report.stats.get("incremental") is None
+        assert (
+            report.certificate.text()
+            == sessions().certify(child, engine).certificate.text()
+        )
+
+    @pytest.mark.parametrize("engine", ["tvla-independent", "allocsite"])
+    def test_negative_pool_ids_fall_back(self, engine, sessions):
+        """Ids shifted by ``-len(pool)`` would index the same pool
+        entries from the end; the parent decodes with the checker's own
+        decoder, which refuses them, so the child certifies from
+        scratch."""
+        from repro.runtime.trace import CollectingTracer, use_tracer
+
+        base = generate_client(3)
+        child = tail_insert(base)
+        session = sessions()
+        payload = copy.deepcopy(session.certify(base, engine).certificate.payload)
+        annotation = payload["annotation"]
+        size = len(annotation["pool"])
+        annotation["nodes"] = [
+            [node, index - size] for node, index in annotation["nodes"]
+        ]
+        tracer = CollectingTracer()
+        with use_tracer(tracer):
+            report = session.certify(
+                child, engine, incremental_from=ConformanceCertificate(payload)
+            )
+        reasons = [
+            event.meta["reason"]
+            for event in tracer.events
+            if event.phase == "incremental-fallback"
+        ]
+        assert reasons == ["annotation-decode"]
         assert report.stats.get("incremental") is None
         assert (
             report.certificate.text()
