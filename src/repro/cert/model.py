@@ -373,40 +373,43 @@ def absolute_annotation(annotation: Mapping[str, object]) -> Dict[str, object]:
 
 # -- three-valued structure codec -------------------------------------------
 #
-# Nodes are renumbered 0..k-1 in the canonical-key sort order (vector of
-# Kleene values, then summary bit), which is total on canonicalized
-# structures: canonicalization leaves at most one node per canonical
-# vector.  Kleene values serialize as their enum ints (FALSE=0, TRUE=1,
-# HALF=2).
+# Nodes are renumbered 0..k-1 in the structure's canonical order (vector
+# of Kleene values, then summary bit, then position), which is total on
+# canonicalized structures: canonicalization leaves at most one node per
+# canonical vector.  Kleene values serialize as their enum ints
+# (FALSE=0, TRUE=1, HALF=2), read straight off the bit planes.
+
+
+def _bits(plane: int) -> Iterable[int]:
+    while plane:
+        low = plane & -plane
+        yield low.bit_length() - 1
+        plane ^= low
 
 
 def structure_to_json(structure: PackedStructure, preds) -> Dict[str, object]:
-    order = sorted(
-        structure.nodes,
-        key=lambda n: (
-            tuple(v._value_ for v in structure.canonical_vector(n, preds)),
-            structure.summary[n],
-        ),
-    )
+    order = structure.canonical_order(preds)
     index = {node: i for i, node in enumerate(order)}
-    # skip explicit FALSE entries: absent means 0, so the serialization
-    # is a normal form regardless of how tables were mutated
+    shift = structure._shift
+    column = structure._width - 1
+    # absent means 0, so the serialization is a normal form regardless
+    # of how the planes were mutated
     nullary = sorted(
         [pred, value._value_]
         for pred, value in structure.nullary.items()
         if value._value_ != 0
     )
     unary = sorted(
-        [pred, index[node], value._value_]
-        for pred, table in structure.unary.items()
-        for node, value in table.items()
-        if value._value_ != 0
+        [pred, index[node], code]
+        for code, planes in ((1, structure.u_t), (2, structure.u_h))
+        for pred, plane in planes.items()
+        for node in _bits(plane)
     )
     binary = sorted(
-        [pred, index[a], index[b], value._value_]
-        for pred, table in structure.binary.items()
-        for (a, b), value in table.items()
-        if value._value_ != 0
+        [pred, index[pos >> shift], index[pos & column], code]
+        for code, planes in ((1, structure.b_t), (2, structure.b_h))
+        for pred, plane in planes.items()
+        for pos in _bits(plane)
     )
     return {
         "nodes": len(order),

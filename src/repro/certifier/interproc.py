@@ -106,7 +106,9 @@ class InterproceduralCertifier:
         memo: Dict[Tuple[str, int], Optional[int]] = {}
         node_states: Dict[Tuple[str, int], Dict[int, int]] = {}
         node_zeros: Dict[Tuple[str, int], Dict[int, int]] = {}
-        dependents: Dict[Tuple[str, int], Set[Tuple[str, int]]] = {}
+        #: callee context -> its callers, insertion-ordered (a dict used
+        #: as an ordered set) so re-queue order never follows the hash seed
+        dependents: Dict[Tuple[str, int], Dict[Tuple[str, int], None]] = {}
         worklist: deque = deque()
         queued: Set[Tuple[str, int]] = set()
         alarms: Dict[Tuple[int, str], Alarm] = {}
@@ -572,7 +574,7 @@ class InterproceduralCertifier:
         callee_key = (stm.callee, plan.entry(caller_mask))
         if callee_key not in memo:
             schedule(callee_key)  # a brand-new context
-        dependents.setdefault(callee_key, set()).add(caller_key)
+        dependents.setdefault(callee_key, {})[caller_key] = None
         exit_mask = memo[callee_key]
         if exit_mask is None:
             return None

@@ -22,8 +22,6 @@ This package provides the logical machinery shared by the whole pipeline:
   enumeration plus congruence closure. These are the
   "computationally-intensive symbolic techniques" the paper confines to
   certifier-generation time (Section 1.3).
-* :mod:`repro.logic.structure` — 2-valued logical structures and formula
-  evaluation (Section 5.1's program-state representation).
 """
 
 from repro.logic.formula import (

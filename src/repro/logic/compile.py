@@ -104,9 +104,9 @@ class CompiledFormula:
 
 
 class CompileError(TypeError):
-    """The formula contains constructs the closure compiler rejects
-    (e.g. equality over non-variable terms); callers fall back to the
-    interpreter."""
+    """The formula contains constructs the closure compilers reject
+    (e.g. equality over non-variable terms, a ternary atom); there is no
+    other evaluator, so the formula cannot be evaluated at all."""
 
 
 def _free_vars_ordered(formula: Formula) -> Tuple[str, ...]:

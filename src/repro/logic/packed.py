@@ -25,15 +25,18 @@ become O(1) per snapshot.  Canonical abstraction folds whole predicate
 planes with mask algebra instead of per-entry loops, and
 ``canonical_key`` is a tuple of remapped plane integers.
 
-Formulas are compiled here too: :func:`compile_packed_formula` produces
-the :class:`~repro.logic.compile.CompiledFormula` slot protocol with
-atoms that test plane bits and quantifiers over recognizable bodies
-(unary literals and conjunctions of them, binary rows) collapsed into
+Formulas are compiled here too, and compiled code is the only way a
+formula is evaluated: :func:`compile_packed_formula` produces the
+:class:`~repro.logic.compile.CompiledFormula` slot protocol with atoms
+that test plane bits and quantifiers over recognizable bodies (unary
+literals and conjunctions of them, binary rows) collapsed into
 whole-universe mask tests; :func:`compile_update_plane` evaluates a
-whole update as plane algebra.  The recursive interpreter
-:meth:`PackedStructure._eval` covers the formulas the compilers reject.
-``unary``/``binary`` are materializing dict views, which the certificate
-codec (:mod:`repro.cert.model`) serializes.
+whole update as plane algebra.  Both compilers are total over the
+formulas a TVP can express and raise
+:class:`~repro.logic.compile.CompileError` for the rest (a predicate of
+arity above two, equality over non-variable terms), so a bad formula
+fails at specialize time.  The certificate
+codec (:mod:`repro.cert.model`) serializes straight from the planes.
 """
 
 from __future__ import annotations
@@ -59,10 +62,6 @@ from repro.logic.formula import (
 )
 from repro.logic.kleene import FALSE3, HALF, Kleene, TRUE3
 from repro.logic.terms import Base
-
-#: Kleene value by its 2-bit plane code: 0 = neither, 1 = true-plane,
-#: 2 = half-plane (matches ``Kleene._value_``)
-_KLEENE_BY_CODE = (FALSE3, TRUE3, HALF)
 
 _DEFAULT_SHIFT = 4  # binary stride 16: suite/fuzz universes stay under it
 
@@ -203,60 +202,6 @@ class PackedStructure:
         self._shift = new_shift
         self._width = 1 << new_shift
 
-    # -- dict views ------------------------------------------------------------
-
-    @property
-    def unary(self) -> Dict[str, Dict[int, Kleene]]:
-        """Materialized dict view (serialization/debugging; not hot)."""
-        view: Dict[str, Dict[int, Kleene]] = {}
-        for pred in self.u_t.keys() | self.u_h.keys():
-            t = self.u_t.get(pred, 0)
-            h = self.u_h.get(pred, 0)
-            table: Dict[int, Kleene] = {}
-            plane = t
-            while plane:
-                low = plane & -plane
-                table[low.bit_length() - 1] = TRUE3
-                plane ^= low
-            plane = h
-            while plane:
-                low = plane & -plane
-                table[low.bit_length() - 1] = HALF
-                plane ^= low
-            if table:
-                view[pred] = table
-        return view
-
-    @property
-    def binary(self) -> Dict[str, Dict[Tuple[int, int], Kleene]]:
-        """Materialized dict view (serialization/debugging; not hot)."""
-        view: Dict[str, Dict[Tuple[int, int], Kleene]] = {}
-        shift = self._shift
-        mask = self._width - 1
-        for pred in self.b_t.keys() | self.b_h.keys():
-            table: Dict[Tuple[int, int], Kleene] = {}
-            for plane, value in (
-                (self.b_t.get(pred, 0), TRUE3),
-                (self.b_h.get(pred, 0), HALF),
-            ):
-                while plane:
-                    low = plane & -plane
-                    pos = low.bit_length() - 1
-                    table[(pos >> shift, pos & mask)] = value
-                    plane ^= low
-            if table:
-                view[pred] = table
-        return view
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        parts = [f"U={[(n, 'sm' if self.summary[n] else '') for n in self.nodes]}"]
-        for pred, value in sorted(self.nullary.items()):
-            parts.append(f"{pred}={value}")
-        for view in (self.unary, self.binary):
-            for pred, table in sorted(view.items()):
-                parts.append(f"{pred}={table}")
-        return "TVS(" + "; ".join(parts) + ")"
-
     # -- values ----------------------------------------------------------------
 
     def get(self, pred: str, args: Tuple[int, ...]) -> Kleene:
@@ -341,91 +286,10 @@ class PackedStructure:
     # -- evaluation ------------------------------------------------------------
 
     def eval(self, formula: Formula, env: Optional[Dict[str, int]] = None) -> Kleene:
-        """Evaluate through the plane-compiled path, falling back to the
-        interpreter for formulas the compiler rejects."""
-        compiled = compile_packed_formula(formula)
-        if compiled is None:
-            return self._eval(formula, env or {})
-        return compiled(self, env)
-
-    def _eval(self, formula: Formula, env: Dict[str, int]) -> Kleene:
-        """The recursive Kleene interpreter (Section 5.5 semantics)."""
-        if isinstance(formula, Truth):
-            return TRUE3 if formula.value else FALSE3
-        if isinstance(formula, PredAtom):
-            args = tuple(env[a] for a in formula.args)
-            return self.get(formula.name, args)
-        if isinstance(formula, EqAtom):
-            lhs = self._term_node(formula.lhs, env)
-            rhs = self._term_node(formula.rhs, env)
-            if lhs != rhs:
-                return FALSE3
-            return HALF if self.summary.get(lhs, False) else TRUE3
-        if isinstance(formula, Not):
-            return self._eval(formula.body, env).logical_not()
-        if isinstance(formula, And):
-            result = TRUE3
-            for arg in formula.args:
-                result = result.logical_and(self._eval(arg, env))
-                if result is FALSE3:
-                    return result
-            return result
-        if isinstance(formula, Or):
-            result = FALSE3
-            for arg in formula.args:
-                result = result.logical_or(self._eval(arg, env))
-                if result is TRUE3:
-                    return result
-            return result
-        if isinstance(formula, Exists):
-            result = FALSE3
-            for node in self.nodes:
-                value = self._eval(formula.body, {**env, formula.var: node})
-                result = result.logical_or(value)
-                if result is TRUE3:
-                    return result
-            return result
-        if isinstance(formula, Forall):
-            result = TRUE3
-            for node in self.nodes:
-                value = self._eval(formula.body, {**env, formula.var: node})
-                result = result.logical_and(value)
-                if result is FALSE3:
-                    return result
-            return result
-        raise TypeError(f"unknown formula node {formula!r}")
-
-    def _term_node(self, term, env: Dict[str, int]) -> int:
-        if isinstance(term, Base):
-            return env[term.name]
-        raise TypeError(
-            "3-valued equality supports logical variables only; got "
-            f"{term!r}"
-        )
+        """Evaluate through the plane-compiled path."""
+        return compile_packed_formula(formula)(self, env)
 
     # -- canonical abstraction ---------------------------------------------------
-
-    def _vector_codes(
-        self, node: int, abstraction_preds: List[str]
-    ) -> Tuple[int, ...]:
-        """Per-node abstraction vector as plane codes (0/1/2 = Kleene)."""
-        bit = 1 << node
-        u_t = self.u_t
-        u_h = self.u_h
-        return tuple(
-            1
-            if u_t.get(p, 0) & bit
-            else (2 if u_h.get(p, 0) & bit else 0)
-            for p in abstraction_preds
-        )
-
-    def canonical_vector(
-        self, node: int, abstraction_preds: List[str]
-    ) -> Tuple[Kleene, ...]:
-        return tuple(
-            _KLEENE_BY_CODE[c]
-            for c in self._vector_codes(node, abstraction_preds)
-        )
 
     def _node_blocks(self, abstraction_preds: List[str]) -> List[int]:
         """Ordered partition of the universe into equal-vector blocks.
@@ -706,40 +570,13 @@ class PackedStructure:
         self._ckey_cache[cache_key] = key
         return key
 
-    def _canonical_key(self, abstraction_preds: List[str]) -> PackedKey:
-        """Integer-plane canonical key (cheap to build and to hash)."""
-        if self._vec_ordered is not None and self._vec_ordered == tuple(
-            abstraction_preds
-        ):
-            # canonicalize() already renumbered into vector order: the
-            # plane dicts ARE the key — no blocks walk, no remap, just
-            # a C-level sort of each plane dict's items
-            nullary_part = tuple(
-                sorted(
-                    (pred, value._value_)
-                    for pred, value in self.nullary.items()
-                    if value is not FALSE3
-                )
-            )
-            summary_bits = 0
-            for node, is_summary in self.summary.items():
-                if is_summary:
-                    summary_bits |= 1 << node
-            return PackedKey(
-                (
-                    nullary_part,
-                    tuple(sorted([i for i in self.u_t.items() if i[1]])),
-                    tuple(sorted([i for i in self.u_h.items() if i[1]])),
-                    tuple(sorted([i for i in self.b_t.items() if i[1]])),
-                    tuple(sorted([i for i in self.b_h.items() if i[1]])),
-                    summary_bits,
-                    len(self.nodes),
-                )
-            )
-        # block order = vector order; within a block (equal vectors)
-        # non-summary nodes sort before summary ones, ties keep
-        # ascending node ids — a stable sort on (canonical_vector,
-        # summary), the order the certificate codec numbers nodes in
+    def canonical_order(self, abstraction_preds: List[str]) -> List[int]:
+        """The nodes in canonical order: block order of
+        :meth:`_node_blocks` (= abstraction-vector order), and within a
+        block non-summary before summary nodes, ties by position in
+        ``nodes`` (ascending ids) — a stable sort on (vector, summary
+        bit).  The canonical key and the certificate codec both number
+        nodes in this order."""
         order: List[int] = []
         summary = self.summary
         for mask in self._node_blocks(abstraction_preds):
@@ -753,12 +590,19 @@ class PackedStructure:
                 order.extend(n for n in members if summary[n])
             else:
                 order.append(mask.bit_length() - 1)
-        k = len(order)
-        identity = True
-        for i, node in enumerate(order):
-            if i != node:
-                identity = False
-                break
+        return order
+
+    def _canonical_key(self, abstraction_preds: List[str]) -> PackedKey:
+        """Integer-plane canonical key (cheap to build and to hash)."""
+        # canonicalize() renumbers into vector order and marks the
+        # structure: then, as when the canonical order is the identity,
+        # the plane dicts ARE the key — no remap, just a C-level sort of
+        # each plane dict's items
+        order = None
+        if self._vec_ordered != tuple(abstraction_preds):
+            order = self.canonical_order(abstraction_preds)
+            if all(i == node for i, node in enumerate(order)):
+                order = None
         nullary_part = tuple(
             sorted(
                 (pred, value._value_)
@@ -766,11 +610,7 @@ class PackedStructure:
                 if value is not FALSE3
             )
         )
-        if identity:
-            summary_bits = 0
-            for node, is_summary in self.summary.items():
-                if is_summary:
-                    summary_bits |= 1 << node
+        if order is None:
             return PackedKey(
                 (
                     nullary_part,
@@ -778,8 +618,8 @@ class PackedStructure:
                     tuple(sorted([i for i in self.u_h.items() if i[1]])),
                     tuple(sorted([i for i in self.b_t.items() if i[1]])),
                     tuple(sorted([i for i in self.b_h.items() if i[1]])),
-                    summary_bits,
-                    k,
+                    self._summary_mask(),
+                    len(self.nodes),
                 )
             )
 
@@ -837,7 +677,7 @@ class PackedStructure:
                     )
                 ),
                 summary_bits,
-                k,
+                len(order),
             )
         )
 
@@ -1058,6 +898,21 @@ def _compile_quantifier_masks(
     return eval_forall_masks
 
 
+def _compile_bound(binder: str, slot_of, high_water, compile_body):
+    """Give a quantifier's ``binder`` a fresh slot while ``compile_body``
+    compiles its body; returns ``(slot, body)``."""
+    saved = slot_of.get(binder)
+    slot = max(len(slot_of), high_water[0])
+    slot_of[binder] = slot
+    high_water[0] = max(high_water[0], slot + 1)
+    body = compile_body()
+    if saved is None:
+        del slot_of[binder]
+    else:
+        slot_of[binder] = saved
+    return slot, body
+
+
 def _compile_packed_node(
     formula: Formula, slot_of: Dict[str, int], high_water: List[int]
 ):
@@ -1182,15 +1037,12 @@ def _compile_packed_node(
         if fast is not None:
             # the binder never materializes: no slot, no per-node loop
             return fast
-        saved = slot_of.get(formula.var)
-        slot = max(len(slot_of), high_water[0])
-        slot_of[formula.var] = slot
-        high_water[0] = max(high_water[0], slot + 1)
-        body = _compile_packed_node(formula.body, slot_of, high_water)
-        if saved is None:
-            del slot_of[formula.var]
-        else:
-            slot_of[formula.var] = saved
+        slot, body = _compile_bound(
+            formula.var,
+            slot_of,
+            high_water,
+            lambda: _compile_packed_node(formula.body, slot_of, high_water),
+        )
         if isinstance(formula, Exists):
 
             def eval_exists(S, env, body=body, slot=slot):
@@ -1222,33 +1074,27 @@ def _compile_packed_node(
     raise CompileError(f"unknown formula node {formula!r}")
 
 
-_MISSING = object()
-
 #: two-level evaluator cache: a per-object identity map (no hashing of
 #: the formula tree on the hot path) backed by a structural map over
 #: interned formulas (equal formulas share one evaluator)
-_PACKED_COMPILED: Dict[Formula, Optional[CompiledFormula]] = {}
-_PACKED_BY_ID: Dict[int, Tuple[Formula, Optional[CompiledFormula]]] = {}
+_PACKED_COMPILED: Dict[Formula, CompiledFormula] = {}
+_PACKED_BY_ID: Dict[int, Tuple[Formula, CompiledFormula]] = {}
 
 
-def compile_packed_formula(formula: Formula) -> Optional[CompiledFormula]:
+def compile_packed_formula(formula: Formula) -> CompiledFormula:
     """Compile (and cache) a formula against the bit-plane layout;
-    ``None`` if it is not compilable (callers fall back to ``_eval``)."""
+    raises :class:`CompileError` for a formula outside the TVP logic."""
     entry = _PACKED_BY_ID.get(id(formula))
     if entry is not None and entry[0] is formula:
         return entry[1]
     canonical = intern(formula)
-    compiled = _PACKED_COMPILED.get(canonical, _MISSING)
-    if compiled is _MISSING:
+    compiled = _PACKED_COMPILED.get(canonical)
+    if compiled is None:
         free = _free_vars_ordered(canonical)
         slot_of = {name: index for index, name in enumerate(free)}
         high_water = [len(free)]
-        try:
-            fn = _compile_packed_node(canonical, slot_of, high_water)
-        except CompileError:
-            compiled = None
-        else:
-            compiled = CompiledFormula(canonical, free, high_water[0], fn)
+        fn = _compile_packed_node(canonical, slot_of, high_water)
+        compiled = CompiledFormula(canonical, free, high_water[0], fn)
         _PACKED_COMPILED[canonical] = compiled
     _PACKED_BY_ID[id(formula)] = (formula, compiled)
     return compiled
@@ -1256,34 +1102,33 @@ def compile_packed_formula(formula: Formula) -> Optional[CompiledFormula]:
 
 # -- plane-wide update evaluation ----------------------------------------------
 #
-# An update ``p(v...) := rhs`` is evaluated by the engine once per node
-# tuple: ``n**arity`` compiled-closure calls per transfer.  For packed
-# structures the whole valuation can instead be computed as plane
-# algebra: every subformula evaluates to a ``(true_mask, may_mask)``
+# An update ``p(v...) := rhs`` computes the whole valuation at once, as
+# plane algebra: every subformula evaluates to a ``(true_mask, may_mask)``
 # pair over the update variables' domain — node bits for one free
 # variable, pair bits (row ``v1``, column ``v2`` in the structure's
 # stride) for two — and connectives become word-parallel AND/OR/NOT.
-# Quantifiers nested under a two-variable update (three live logical
-# variables) are not expressible in two planes; compilation fails and
-# the engine falls back to the per-tuple path.
+# A quantifier under a two-variable update (three live logical
+# variables) binds a slot and ORs (exists) or ANDs (forall) its body's
+# planes over the universe.
 
 
 class PlaneCompiled:
     """A formula compiled to whole-plane evaluation over update vars.
 
-    ``fn(structure, slots) -> (t_plane, may_plane)``; slots carry the
-    outer environment exactly like :class:`CompiledFormula` (positions
-    of the update variables are never read).
+    ``fn(structure, slots, ctx) -> (t_plane, may_plane)``; slots carry
+    the outer environment exactly like :class:`CompiledFormula`
+    (positions of the update variables are never read); ``outer`` lists
+    the ``(slot, name)`` of every free variable that is not an update
+    variable.
     """
 
-    __slots__ = ("formula", "free_vars", "num_slots", "fn", "arity")
+    __slots__ = ("formula", "num_slots", "fn", "outer")
 
-    def __init__(self, formula, free_vars, num_slots, fn, arity):
+    def __init__(self, formula, num_slots, fn, outer):
         self.formula = formula
-        self.free_vars = free_vars
         self.num_slots = num_slots
         self.fn = fn
-        self.arity = arity
+        self.outer = outer
 
 
 #: memoized evaluation contexts keyed by (shift, universe_mask) — the
@@ -1658,13 +1503,11 @@ def _compile_plane_node(
         return eval_or
 
     if isinstance(formula, (Exists, Forall)):
-        if len(dom) == 2:
-            raise CompileError(
-                f"three live logical variables in {formula}: "
-                "two planes can't carry a quantifier under a binary "
-                "update"
-            )
         binder = formula.var
+        if len(dom) == 2:
+            return _compile_plane_quantifier_slot(
+                formula, dom, slot_of, high_water
+            )
         v = dom[0]
         # binder == v would shadow the update variable, making the
         # quantifier scalar — caught by the broadcast case above
@@ -1713,76 +1556,126 @@ def _compile_plane_node(
     raise CompileError(f"unknown formula node {formula!r}")
 
 
+def _compile_plane_quantifier_slot(
+    formula: Formula,
+    dom: Tuple[str, str],
+    slot_of: Dict[str, int],
+    high_water: List[int],
+):
+    """A quantifier under a two-variable update: two planes can't carry
+    its binder too, so it binds a slot and folds the body's planes over
+    the universe (OR for exists, AND for forall)."""
+    binder = formula.var
+    if binder in dom:
+        # the binder shadows an update variable, so the quantifier reads
+        # only the other one: compile it over that variable alone and
+        # broadcast the node mask along it
+        other = dom[1] if binder == dom[0] else dom[0]
+        reader = _compile_plane_node(formula, (other,), slot_of, high_water)
+        return _unary_planes_over(
+            reader, "row" if other == dom[0] else "col"
+        )
+    slot, body = _compile_bound(
+        binder,
+        slot_of,
+        high_water,
+        lambda: _compile_plane_node(formula.body, dom, slot_of, high_water),
+    )
+    if isinstance(formula, Exists):
+
+        def eval_exists_slot(S, slots, ctx, body=body, slot=slot):
+            t = u = 0
+            for node in S.nodes:
+                slots[slot] = node
+                bt, bu = body(S, slots, ctx)
+                t |= bt
+                u |= bu
+            return t, u
+
+        return eval_exists_slot
+
+    def eval_forall_slot(S, slots, ctx, body=body, slot=slot):
+        t = u = ctx[3]  # every valid pair
+        for node in S.nodes:
+            slots[slot] = node
+            bt, bu = body(S, slots, ctx)
+            t &= bt
+            u &= bu
+        return t, u
+
+    return eval_forall_slot
+
+
 #: plane-compiler caches, keyed by (interned formula, update vars)
-_PLANE_COMPILED: Dict[tuple, Optional[PlaneCompiled]] = {}
-_PLANE_BY_ID: Dict[tuple, Tuple[Formula, Optional[PlaneCompiled]]] = {}
+_PLANE_COMPILED: Dict[tuple, PlaneCompiled] = {}
+_PLANE_BY_ID: Dict[tuple, Tuple[Formula, PlaneCompiled]] = {}
 
 
 def compile_update_plane(
     formula: Formula, update_vars: Tuple[str, ...]
-) -> Optional[PlaneCompiled]:
+) -> PlaneCompiled:
     """Compile (and cache) an update's rhs to whole-plane evaluation
-    over ``update_vars``; ``None`` when the formula needs more live
-    variables than two planes can carry (callers use the per-tuple
-    compiled path instead)."""
+    over ``update_vars`` (one or two distinct variables); raises
+    :class:`CompileError` for a formula outside the TVP logic."""
     vars_key = tuple(update_vars)
-    if len(vars_key) not in (1, 2) or len(set(vars_key)) != len(vars_key):
-        return None
     ident = (id(formula), vars_key)
     entry = _PLANE_BY_ID.get(ident)
     if entry is not None and entry[0] is formula:
         return entry[1]
+    if len(vars_key) not in (1, 2) or len(set(vars_key)) != len(vars_key):
+        raise CompileError(f"unsupported update variables {vars_key}")
     canonical = intern(formula)
     key = (canonical, vars_key)
-    compiled = _PLANE_COMPILED.get(key, _MISSING)
-    if compiled is _MISSING:
+    compiled = _PLANE_COMPILED.get(key)
+    if compiled is None:
         free = _free_vars_ordered(canonical)
         slot_of = {name: index for index, name in enumerate(free)}
         high_water = [len(free)]
-        try:
-            fn = _compile_plane_node(
-                canonical, vars_key, slot_of, high_water
-            )
-        except CompileError:
-            compiled = None
-        else:
-            compiled = PlaneCompiled(
-                canonical, free, high_water[0], fn, len(vars_key)
-            )
+        fn = _compile_plane_node(canonical, vars_key, slot_of, high_water)
+        outer = tuple(
+            (slot, name)
+            for slot, name in enumerate(free)
+            if name not in vars_key
+        )
+        compiled = PlaneCompiled(canonical, high_water[0], fn, outer)
         _PLANE_COMPILED[key] = compiled
     _PLANE_BY_ID[ident] = (formula, compiled)
     return compiled
 
 
 def evaluate_update_plane(
-    structure, compiled: PlaneCompiled, slots: List[int]
+    structure, compiled: PlaneCompiled, env: Dict[str, int]
 ) -> Tuple[int, int]:
-    """Run a plane-compiled update rhs: returns disjoint ``(t, h)``
-    planes over the update variables' domain."""
-    ctx = _plane_ctx(structure)
-    t, u = compiled.fn(structure, slots, ctx)
+    """Run a plane-compiled update rhs with its outer variables bound by
+    ``env``: returns disjoint ``(t, h)`` planes over the update
+    variables' domain."""
+    slots = [0] * compiled.num_slots
+    for slot, name in compiled.outer:
+        slots[slot] = env[name]
+    t, u = compiled.fn(structure, slots, _plane_ctx(structure))
     return t, u & ~t
 
 
 def precompile_tvp(tvp) -> int:
-    """Compile every formula a TVP's actions will evaluate.
+    """Compile every formula a TVP's actions will evaluate: check
+    conditions and nullary updates to scalar evaluators, the other
+    updates to planes (focus formulas are only read for their atom).
 
     Called at specialize time so first-certification ("cold") runs do
-    not pay compile + interning inside the measured fixpoint; the
-    compiled closures live in the process-wide caches, shared by every
-    engine constructed over this TVP.  Returns the formula count."""
+    not pay compile + interning inside the measured fixpoint, and a
+    formula the compilers reject fails there; the compiled closures live
+    in the process-wide caches, shared by every engine constructed over
+    this TVP.  Returns the formula count."""
     count = 0
     for edge in tvp.edges:
         action = edge.action
-        for f in action.focus:
-            compile_packed_formula(f)
-            count += 1
         for check in action.checks:
             compile_packed_formula(check.cond)
             count += 1
         for update in action.updates:
-            compile_packed_formula(update.rhs)
             if update.vars:
-                compile_update_plane(update.rhs, tuple(update.vars))
+                compile_update_plane(update.rhs, update.vars)
+            else:
+                compile_packed_formula(update.rhs)
             count += 1
     return count

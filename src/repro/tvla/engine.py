@@ -109,10 +109,6 @@ class TvlaEngine:
                 Dict[Tuple[int, str], _CheckContribution],
             ],
         ] = {}
-        #: update-stmt identity -> (compiled plane or None, outer slot
-        #: bindings); update objects live as long as the tvp, so id()
-        #: keys stay valid for the engine's lifetime
-        self._update_planes: Dict[int, tuple] = {}
 
     # -- initial state -------------------------------------------------------------------
 
@@ -247,60 +243,11 @@ class TvlaEngine:
             if not update.vars:
                 post.set(update.pred, (), pre.eval(update.rhs, env))
                 continue
-            entry = self._update_planes.get(id(update))
-            if entry is None:
-                plane = packed_kernel.compile_update_plane(
-                    update.rhs, tuple(update.vars)
-                )
-                if plane is None:
-                    entry = (None, ())
-                else:
-                    var_set = set(update.vars)
-                    entry = (
-                        plane,
-                        tuple(
-                            (slot, name)
-                            for slot, name in enumerate(plane.free_vars)
-                            if name not in var_set
-                        ),
-                    )
-                self._update_planes[id(update)] = entry
-            plane, outer = entry
-            if plane is not None:
-                # bulk bitwise transfer: one plane evaluation replaces
-                # len(nodes) ** arity per-tuple closures
-                slots = [0] * plane.num_slots
-                for slot, name in outer:
-                    slots[slot] = env[name]
-                t, h = packed_kernel.evaluate_update_plane(pre, plane, slots)
-                post.set_plane(update.pred, len(update.vars), t, h)
-                continue
-            compiled = packed_kernel.compile_packed_formula(update.rhs)
-            assignments = _tuples(pre.nodes, len(update.vars))
-            values = []
-            if compiled is None:
-                for combo in assignments:
-                    local_env = dict(env)
-                    local_env.update(zip(update.vars, combo))
-                    values.append((combo, pre.eval(update.rhs, local_env)))
-            else:
-                # bind free variables straight into positional slots —
-                # no per-tuple env dict; binder slots are written by fn
-                fn = compiled.fn
-                slots = [0] * compiled.num_slots
-                var_pos = {name: i for i, name in enumerate(update.vars)}
-                fills = []
-                for slot, name in enumerate(compiled.free_vars):
-                    if name in var_pos:
-                        fills.append((slot, var_pos[name]))
-                    else:
-                        slots[slot] = env[name]
-                for combo in assignments:
-                    for slot, pos in fills:
-                        slots[slot] = combo[pos]
-                    values.append((combo, fn(pre, slots)))
-            for combo, value in values:
-                post.set(update.pred, combo, value)
+            # bulk bitwise transfer: one plane evaluation computes the
+            # predicate's whole valuation
+            plane = packed_kernel.compile_update_plane(update.rhs, update.vars)
+            t, h = packed_kernel.evaluate_update_plane(pre, plane, env)
+            post.set_plane(update.pred, len(update.vars), t, h)
         return post.canonicalize(self.abstraction_preds)
 
     # -- the fixpoint ----------------------------------------------------------------------
@@ -535,11 +482,3 @@ def _alarm_list(
         ),
         key=lambda a: (a.site_id, a.instance),
     )
-
-
-def _tuples(nodes: List[int], arity: int):
-    if arity == 1:
-        return [(n,) for n in nodes]
-    if arity == 2:
-        return [(a, b) for a in nodes for b in nodes]
-    raise ValueError(f"unsupported update arity {arity}")

@@ -8,7 +8,8 @@ and the canonical key is a tuple of frozensets.  The TVLA engine used
 this representation before the packed kernel replaced it; the property
 tests compare the two on random structures and formulas
 (``tests/test_packed.py``).  :func:`to_packed` converts an oracle
-structure into the kernel's representation.
+structure into the kernel's representation, and :func:`to_json` is the
+reference for the certificate serialization.
 """
 
 from __future__ import annotations
@@ -425,3 +426,40 @@ def to_packed(structure: ThreeValuedStructure) -> PackedStructure:
         for (n1, n2), value in table2.items():
             packed.set(pred, (mapping[n1], mapping[n2]), value)
     return packed
+
+
+def to_json(structure: ThreeValuedStructure, preds: List[str]) -> Dict:
+    """The certificate serialization of a structure, computed from the
+    dict tables: nodes renumbered by a stable sort on (canonical vector,
+    summary bit), explicit FALSE entries skipped — what
+    :func:`repro.cert.model.structure_to_json` must produce from the
+    planes."""
+    order = sorted(
+        structure.nodes,
+        key=lambda n: (
+            tuple(v._value_ for v in structure.canonical_vector(n, preds)),
+            structure.summary[n],
+        ),
+    )
+    index = {node: i for i, node in enumerate(order)}
+    return {
+        "nodes": len(order),
+        "summary": [1 if structure.summary[n] else 0 for n in order],
+        "nullary": sorted(
+            [pred, value._value_]
+            for pred, value in structure.nullary.items()
+            if value is not FALSE3
+        ),
+        "unary": sorted(
+            [pred, index[node], value._value_]
+            for pred, table in structure.unary.items()
+            for node, value in table.items()
+            if value is not FALSE3
+        ),
+        "binary": sorted(
+            [pred, index[n1], index[n2], value._value_]
+            for pred, table in structure.binary.items()
+            for (n1, n2), value in table.items()
+            if value is not FALSE3
+        ),
+    }

@@ -14,6 +14,9 @@ deliberate schedule change updates the file in the same commit:
 """
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -45,9 +48,9 @@ def _run(session, source, engine):
             "breach": error.breach,
             "alarms": sorted(alarm.site_id for alarm in partial.alarms),
             "nodes_analyzed": partial.nodes_analyzed,
-            # interproc's context queue schedules dependents in set
-            # order, so where in the tabulation a budget lands varies with
-            # the hash seed: its edge counters are recorded only complete
+            # interproc's edge counters are recorded only complete here;
+            # that a salvaged run's counters do not depend on the hash
+            # seed is pinned by test_interproc_partial_ignores_hash_seed
             "stats": _counters(partial.stats, ("iterations",)),
         }
     return {"completed": _counters(report.stats)}
@@ -90,6 +93,44 @@ def test_budgets_breach_and_unbudgeted_runs_complete(computed):
     for key, runs in computed.items():
         assert "completed" in runs["None"], key
         assert "breach" in runs[str(BUDGETS[0])], key
+
+
+#: a budgeted interproc run whose salvage crosses re-queued callers
+_PARTIAL = """
+import json
+from repro.api import CertifyOptions, CertifySession
+from repro.easl.library import cmp_spec
+from repro.runtime.guard import ResourceExhausted
+from repro.suite import by_name
+
+session = CertifySession(cmp_spec(), options=CertifyOptions(max_steps=17))
+try:
+    session.certify(by_name("recursive_growth").source, engine="interproc")
+except ResourceExhausted as error:
+    print(json.dumps(error.partial.stats, sort_keys=True))
+"""
+
+
+def test_interproc_partial_ignores_hash_seed():
+    """Callers are re-queued in insertion order, so where a step budget
+    lands in the tabulation is the same in every process."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    runs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH", "")) if p
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", _PARTIAL],
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout
+        runs.append(_counters(json.loads(out)))
+    assert "edge_visits" in runs[0] and "summary_updates" in runs[0]
+    assert runs[0] == runs[1]
 
 
 if __name__ == "__main__":

@@ -8,9 +8,13 @@ Suite-wide certificate bytes are pinned separately by
 ``tests/test_golden_certs.py``.
 """
 
+import itertools
 import pickle
 import random
 
+import pytest
+
+from repro.cert.model import structure_to_json
 from repro.logic.formula import (
     And,
     Exists,
@@ -27,6 +31,7 @@ from repro.logic.packed import (
     evaluate_update_plane,
 )
 from tests.structure_oracle import ThreeValuedStructure, to_packed
+from tests.structure_oracle import to_json as oracle_json
 
 VALUES = (FALSE3, HALF, TRUE3)
 UNARY_PREDS = ("a", "b", "c")
@@ -56,30 +61,37 @@ def random_dense(rng, max_nodes=6):
     return structure
 
 
-def random_formula(rng, depth=3):
+def random_formula(rng, depth=3, names="vw"):
+    """A random formula over variables ``names`` (free or bound)."""
     if depth == 0 or rng.random() < 0.3:
         kind = rng.randrange(3)
         if kind == 0:
             return PredAtom(rng.choice(NULLARY_PREDS), ())
         if kind == 1:
-            return PredAtom(rng.choice(UNARY_PREDS), (rng.choice("vw"),))
+            return PredAtom(rng.choice(UNARY_PREDS), (rng.choice(names),))
         return PredAtom(
-            rng.choice(BINARY_PREDS), (rng.choice("vw"), rng.choice("vw"))
+            rng.choice(BINARY_PREDS), (rng.choice(names), rng.choice(names))
         )
     kind = rng.randrange(5)
     if kind == 0:
-        return Not(random_formula(rng, depth - 1))
+        return Not(random_formula(rng, depth - 1, names))
     if kind == 1:
         return And(
-            (random_formula(rng, depth - 1), random_formula(rng, depth - 1))
+            (
+                random_formula(rng, depth - 1, names),
+                random_formula(rng, depth - 1, names),
+            )
         )
     if kind == 2:
         return Or(
-            (random_formula(rng, depth - 1), random_formula(rng, depth - 1))
+            (
+                random_formula(rng, depth - 1, names),
+                random_formula(rng, depth - 1, names),
+            )
         )
     if kind == 3:
-        return Exists(rng.choice("vw"), random_formula(rng, depth - 1))
-    return Forall(rng.choice("vw"), random_formula(rng, depth - 1))
+        return Exists(rng.choice(names), random_formula(rng, depth - 1, names))
+    return Forall(rng.choice(names), random_formula(rng, depth - 1, names))
 
 
 def assert_same_tables(dense, packed):
@@ -257,45 +269,119 @@ class TestPackedKey:
         assert pickle.loads(pickle.dumps(key)) == key
 
 
+def assert_plane_matches(formula, variables, dense, env):
+    """Bulk plane evaluation of an update rhs over ``variables`` must
+    agree with the oracle's per-tuple evaluation at every argument
+    tuple, outer variables bound by ``env``; returns the tuple count."""
+    packed = to_packed(dense)
+    plane = compile_update_plane(formula, variables)
+    t_plane, h_plane = evaluate_update_plane(packed, plane, env)
+    shift = packed._shift
+    checked = 0
+    for args in itertools.product(dense.nodes, repeat=len(variables)):
+        expected = dense.eval(formula, {**env, **dict(zip(variables, args))})
+        if len(args) == 1:
+            bit = 1 << args[0]
+        else:
+            bit = 1 << ((args[0] << shift) | args[1])
+        if expected is TRUE3:
+            assert t_plane & bit and not h_plane & bit, formula
+        elif expected is HALF:
+            assert h_plane & bit and not t_plane & bit, formula
+        else:
+            assert not (t_plane | h_plane) & bit, formula
+        checked += 1
+    return checked
+
+
 class TestUpdatePlane:
     def test_plane_evaluation_matches_per_tuple(self):
-        """Bulk plane evaluation of an update rhs must agree with
-        per-tuple formula evaluation at every argument tuple."""
+        """Every random formula compiles, over one or two update
+        variables, with the remaining free variables bound outside —
+        including quantifiers that make three variables live under a
+        two-variable update and binders that shadow an update
+        variable."""
         rng = random.Random(37)
         checked = 0
-        for _ in range(60):
-            arity = rng.choice((1, 2))
-            variables = ("v",) if arity == 1 else ("v", "w")
-            formula = random_formula(rng, depth=2)
-            plane = compile_update_plane(formula, variables)
-            if plane is None:
-                continue
-            if any(name not in variables for name in plane.free_vars):
-                continue  # outer bindings are covered by engine tests
+        for _ in range(200):
+            variables = ("v",) if rng.random() < 0.5 else ("v", "w")
+            formula = random_formula(rng, depth=3, names="vwx")
+            if rng.random() < 0.5:  # a quantifier over the whole rhs
+                quantifier = rng.choice((Exists, Forall))
+                formula = quantifier(rng.choice("vwx"), formula)
             dense = random_dense(rng, max_nodes=4)
-            packed = to_packed(dense)
-            slots = [0] * plane.num_slots
-            t_plane, h_plane = evaluate_update_plane(packed, plane, slots)
-            shift = packed._shift
-            for v_node in dense.nodes:
-                tuples = (
-                    [(v_node,)]
-                    if arity == 1
-                    else [(v_node, w_node) for w_node in dense.nodes]
+            if not dense.nodes:
+                continue  # outer variables need a nonempty universe
+            env = {
+                name: rng.choice(dense.nodes)
+                for name in ("v", "w", "x")
+                if name not in variables
+            }
+            checked += assert_plane_matches(formula, variables, dense, env)
+        assert checked > 500
+
+    @pytest.mark.parametrize(
+        "formula",
+        [
+            Exists(
+                "x",
+                And((PredAtom("r", ("v", "x")), PredAtom("s", ("x", "w")))),
+            ),
+            Forall(
+                "x", Or((PredAtom("r", ("v", "x")), PredAtom("a", ("w",))))
+            ),
+            And(
+                (
+                    PredAtom("b", ("w",)),
+                    Exists("w", PredAtom("r", ("v", "w"))),
                 )
-                for args in tuples:
-                    env = dict(zip(variables, args))
-                    expected = dense.eval(formula, env)
-                    bit = (
-                        1 << args[0]
-                        if arity == 1
-                        else 1 << ((args[0] << shift) | args[1])
-                    )
-                    if expected is TRUE3:
-                        assert t_plane & bit and not h_plane & bit
-                    elif expected is HALF:
-                        assert h_plane & bit and not t_plane & bit
-                    else:
-                        assert not (t_plane | h_plane) & bit
-                    checked += 1
-        assert checked > 100  # the compiler accepted enough formulas
+            ),
+        ],
+        ids=["exists-composition", "forall-third-variable", "shadowing"],
+    )
+    def test_three_live_variables_under_a_binary_update(self, formula):
+        """Quantifiers that make a third variable live under a
+        two-variable update: a binder beside both update variables, and
+        a binder shadowing one of them."""
+        rng = random.Random(41)
+        for _ in range(20):
+            dense = random_dense(rng, max_nodes=5)
+            assert_plane_matches(formula, ("v", "w"), dense, {})
+            assert_plane_matches(formula, ("w", "v"), dense, {})
+
+
+class TestStructureJson:
+    @pytest.mark.parametrize(
+        "preds", [[], ["a"], ["a", "b"], list(UNARY_PREDS)], ids=len
+    )
+    def test_serialization_matches_the_oracle_order(self, preds):
+        """``structure_to_json`` reads the planes in block order; on
+        uncanonicalized structures it must still equal the oracle's
+        stable sort on (canonical vector, summary bit) — several nodes
+        per vector, ties on the summary bit included."""
+        rng = random.Random(43 + len(preds))
+        shared = summary_ties = 0
+        for _ in range(60):
+            dense = random_dense(rng, max_nodes=8)
+            assert structure_to_json(to_packed(dense), preds) == (
+                oracle_json(dense, preds)
+            )
+            keys = [
+                (dense.canonical_vector(n, preds), dense.summary[n])
+                for n in dense.nodes
+            ]
+            shared += len({k[0] for k in keys}) < len(keys)
+            summary_ties += len(set(keys)) < len(keys)
+        assert shared >= 5 and summary_ties >= 5, (shared, summary_ties)
+
+    def test_canonicalized_structures_keep_their_numbering(self):
+        """After ``canonicalize`` the canonical order is the identity,
+        which the canonical key's fast path relies on."""
+        rng = random.Random(47)
+        preds = list(UNARY_PREDS)
+        for _ in range(40):
+            packed = to_packed(random_dense(rng, max_nodes=7))
+            canonical = packed.canonicalize(preds)
+            assert canonical.canonical_order(preds) == list(
+                range(len(canonical.nodes))
+            )

@@ -18,7 +18,7 @@ from repro.certifier.relational import RelationalSolver, StateExplosion
 from repro.certifier.transform import ClientTransformer
 from repro.lang import parse_program
 from repro.lang.inline import inline_program
-from repro.logic.compile import intern
+from repro.logic.compile import CompileError, intern
 from repro.logic.formula import (
     And,
     EqAtom,
@@ -30,9 +30,15 @@ from repro.logic.formula import (
     Truth,
 )
 from repro.logic.kleene import FALSE3, HALF, TRUE3
-from repro.logic.packed import PackedStructure, compile_packed_formula
-from repro.logic.terms import Base
+from repro.logic.packed import (
+    PackedStructure,
+    compile_packed_formula,
+    compile_update_plane,
+    precompile_tvp,
+)
+from repro.logic.terms import Base, Field
 from repro.suite import all_programs
+from repro.tvp.program import Action, Check, TvpProgram, Update
 from repro.util.worklist import PriorityWorklist, reverse_postorder
 from tests.structure_oracle import ThreeValuedStructure, to_packed
 
@@ -122,7 +128,6 @@ class TestCompiledEquivalence:
         interpreted = structure._eval(formula, dict(env))
         packed = to_packed(structure)  # nodes are 0..n-1: ids carry over
         assert packed.eval(formula, env) is interpreted
-        assert packed._eval(formula, dict(env)) is interpreted
 
     def test_intern_shares_compiled_evaluator(self):
         f1 = Exists("x", PredAtom("u0", ("x",)))
@@ -131,17 +136,70 @@ class TestCompiledEquivalence:
         assert intern(f1) is intern(f2)
         assert compile_packed_formula(f1) is compile_packed_formula(f2)
 
-    def test_uncompilable_falls_back_to_interpreter(self):
-        from repro.logic.terms import Field
-
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            EqAtom(Field(Base("x"), "f"), Base("y")),
+            PredAtom("q", ("x", "y", "z")),
+        ],
+        ids=["field-equality", "ternary-atom"],
+    )
+    def test_uncompilable_formula_raises_compile_error(self, bad):
+        # both are outside the TVP logic: each compiler rejects them
+        # when they are compiled, and evaluation has no other path
         structure = PackedStructure()
         structure.new_node()
-        # field-typed equality is interpreter-only; both paths raise the
-        # same interpreter TypeError
-        bad = EqAtom(Field(Base("x"), "f"), Base("y"))
-        assert compile_packed_formula(bad) is None
-        with pytest.raises(TypeError):
-            structure.eval(bad, {"x": 0, "y": 0})
+        with pytest.raises(CompileError):
+            compile_packed_formula(bad)
+        with pytest.raises(CompileError):
+            compile_update_plane(bad, ("x", "y"))
+        with pytest.raises(CompileError):
+            structure.eval(bad, {"x": 0, "y": 0, "z": 0})
+
+    @pytest.mark.parametrize("variables", [(), ("v", "v"), ("u", "v", "w")])
+    def test_plane_compiler_rejects_bad_update_variables(self, variables):
+        with pytest.raises(CompileError):
+            compile_update_plane(PredAtom("u0", ("v",)), variables)
+
+
+class TestSpecializeTime:
+    """``precompile_tvp`` compiles what the engine evaluates, so a bad
+    check or update fails when the TVP is specialized; focus formulas
+    are only read for their atom's name and are not compiled."""
+
+    @staticmethod
+    def _tvp(action):
+        tvp = TvpProgram("bad", 0, 1)
+        tvp.add_edge(0, 1, action)
+        return tvp
+
+    @pytest.mark.parametrize(
+        "action",
+        [
+            Action(checks=(Check(1, 1, "op", PredAtom("q", ("x", "y", "z"))),)),
+            Action(updates=(Update("p", (), PredAtom("q", ("x", "y", "z"))),)),
+            Action(
+                updates=(
+                    Update(
+                        "r",
+                        ("v", "w"),
+                        EqAtom(Field(Base("v"), "f"), Base("w")),
+                    ),
+                )
+            ),
+        ],
+        ids=["check", "nullary-update", "binary-update"],
+    )
+    def test_bad_formula_fails_at_specialize_time(self, action):
+        with pytest.raises(CompileError):
+            precompile_tvp(self._tvp(action))
+
+    def test_focus_formulas_are_not_compiled(self):
+        action = Action(
+            focus=(PredAtom("q", ("x", "y", "z")),),
+            updates=(Update("u0", ("v",), Not(PredAtom("u0", ("v",)))),),
+        )
+        assert precompile_tvp(self._tvp(action)) == 1
 
 
 # -- canonical-key memoization ------------------------------------------------
