@@ -66,6 +66,7 @@ from repro.runtime.cache import (
     LRUCache,
     stable_key,
 )
+from repro.runtime.gcpause import collector_paused
 from repro.runtime.guard import (
     DegradationLadder,
     ResourceExhausted,
@@ -406,7 +407,7 @@ class CertifySession:
             if incremental_from is not None
             else self.options.incremental_from
         )
-        with self._activated():
+        with collector_paused(), self._activated():
             with phase("parse", spec=self.spec.name) as meta:
                 program = parse_program(source, self.spec)
                 meta["methods"] = len(program.methods)
@@ -445,7 +446,7 @@ class CertifySession:
                 f"program was parsed against spec {program.spec.name!r}, "
                 f"session is for {self.spec.name!r}"
             )
-        with self._activated():
+        with collector_paused(), self._activated():
             return self._dispatch(
                 program, engine, source_key=None, governor=governor
             )

@@ -69,6 +69,7 @@ from repro.generic_analysis.framework import (
 )
 from repro.logic.packed import PackedStructure
 from repro.runtime.cache import LRUCache
+from repro.runtime.gcpause import collector_paused
 from repro.runtime.trace import phase
 from repro.tvla.engine import _alarm_list
 
@@ -182,7 +183,7 @@ class CertificateChecker:
         )
         engine = str(payload.get("engine", "?")) if isinstance(payload, dict) else "?"
         subject = str(payload.get("subject", "?")) if isinstance(payload, dict) else "?"
-        with phase("check", engine=engine) as meta:
+        with collector_paused(), phase("check", engine=engine) as meta:
             try:
                 result = self._check(payload, spec, meta)
             except Exception as error:

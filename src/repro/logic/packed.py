@@ -215,6 +215,8 @@ class PackedStructure:
             if self.u_h.get(pred, 0) & bit:
                 return HALF
             return FALSE3
+        if n != 2:
+            raise ValueError(f"{pred}: arity {n} (the planes hold at most 2)")
         bit = 1 << ((args[0] << self._shift) | args[1])
         if self.b_t.get(pred, 0) & bit:
             return TRUE3
@@ -223,10 +225,12 @@ class PackedStructure:
         return FALSE3
 
     def set(self, pred: str, args: Tuple[int, ...], value: Kleene) -> None:
+        n = len(args)
+        if n > 2:
+            raise ValueError(f"{pred}: arity {n} (the planes hold at most 2)")
         if self._cow:
             self._own()
         self.dirty()
-        n = len(args)
         if n == 0:
             # absent means 0 (get() defaults): keeping the dict sparse
             # makes the canonical key's nullary walk proportional to the

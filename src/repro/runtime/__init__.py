@@ -25,6 +25,9 @@ Production services for running certification at scale:
   inline / transform / fixpoint) behind a no-op-by-default tracer;
 * :mod:`repro.runtime.cache` — bounded, stats-reporting LRU memoization
   plus defensive cache-key normalization;
+* :mod:`repro.runtime.gcpause` — :func:`collector_paused`, the scoped,
+  nestable pause of the cyclic garbage collector that certify and check
+  run under;
 * :mod:`repro.runtime.batch` — the batch-certification runtime: a
   manifest of (client, spec, engine) jobs executed on the supervised
   process pool of :mod:`repro.runtime.executor` with per-job timeouts,
@@ -33,6 +36,7 @@ Production services for running certification at scale:
 """
 
 from repro.runtime.cache import CacheStats, LRUCache, stable_key
+from repro.runtime.gcpause import collector_paused
 from repro.runtime.guard import (
     DegradationLadder,
     PartialResult,
@@ -86,6 +90,7 @@ __all__ = [
     "SiteLedger",
     "TraceEvent",
     "Tracer",
+    "collector_paused",
     "current_tracer",
     "explore",
     "phase",

@@ -385,3 +385,20 @@ class TestStructureJson:
             assert canonical.canonical_order(preds) == list(
                 range(len(canonical.nodes))
             )
+
+
+class TestArity:
+    def test_ternary_tuples_are_refused_not_aliased(self):
+        """The planes hold arities 0-2; a ternary tuple used to be read
+        and written as its first two nodes."""
+        structure = PackedStructure()
+        a, b, c = (structure.new_node() for _ in range(3))
+        with pytest.raises(ValueError):
+            structure.set("q", (a, b, c), TRUE3)
+        with pytest.raises(ValueError):
+            structure.get("q", (a, b, c))
+        assert structure.get("q", (a, b)) is FALSE3
+        structure.set("q", (a, b), TRUE3)
+        with pytest.raises(ValueError):
+            structure.get("q", (a, b, c))
+        assert structure.get("q", (a, b)) is TRUE3
