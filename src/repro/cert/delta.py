@@ -18,11 +18,12 @@ is therefore: verify the parent hash, materialize, and hand the child to
 the ordinary linear-pass :class:`repro.cert.check.CertificateChecker` —
 the delta layer adds no trusted code beyond two hash comparisons.
 
-Layout (all JSON, ``sort_keys`` like everything else in this package)::
+Layout (shown indented; on disk it is compact canonical JSON, sorted
+keys and no whitespace, like the certificates themselves)::
 
     {
       "format": "repro-cert-delta",
-      "version": 1,
+      "version": 2,
       "parent_hash": "<sha256 of parent.text()>",
       "child_hash":  "<sha256 of child.text()>",
       "ops": {
@@ -40,6 +41,11 @@ Layout (all JSON, ``sort_keys`` like everything else in this package)::
 ranges) plus inserted lines; ``pool`` ops do the same over the parent's
 sorted state pool — both stay valid because pools are sorted by
 canonical text on both sides, so shared entries appear as runs.
+
+Version 2 hashes the compact canonical certificate text; a version-1
+delta hashed the indented rendering that certificates used to be written
+in, so its hashes can match no current certificate and it is refused as
+an unsupported version.
 """
 
 from __future__ import annotations
@@ -57,7 +63,7 @@ from repro.cert.model import (
 )
 
 DELTA_FORMAT = "repro-cert-delta"
-DELTA_VERSION = 1
+DELTA_VERSION = 2
 
 _MISSING = object()
 
@@ -261,7 +267,7 @@ def materialize_delta(
 
 def delta_text(delta: Mapping[str, object]) -> str:
     """Byte-stable serialization, mirroring ``ConformanceCertificate.text``."""
-    return json.dumps(delta, sort_keys=True, indent=2) + "\n"
+    return canonical_text(delta) + "\n"
 
 
 def write_delta(delta: Mapping[str, object], path: str) -> None:

@@ -118,13 +118,25 @@ def _tvla_annotation(arts, result) -> Dict[str, object]:
     preds = engine_obj.abstraction_preds
     cfg_preds = _edge_preds(tvp.edges)
     pool = Pool()
+    # equal canonical keys number the nodes in the same canonical order
+    # and so serialize equally: each distinct structure is serialized
+    # (and pooled) once per emission, however many nodes hold it
+    by_key: Dict[object, int] = {}
+
+    def pool_id(key, structure) -> int:
+        found = by_key.get(key)
+        if found is None:
+            found = by_key[key] = pool.add(
+                model.structure_to_json(structure, preds)
+            )
+        return found
+
     if arts["mode"] == "relational":
-        raw_sets: Dict[int, set] = {}
-        for node, bucket in result.node_states.items():
-            raw_sets[node] = {
-                pool.add(model.structure_to_json(structure, preds))
-                for structure in bucket.values()
-            }
+        # relational buckets are keyed by canonical key already
+        raw_sets = {
+            node: {pool_id(key, structure) for key, structure in bucket.items()}
+            for node, bucket in result.node_states.items()
+        }
         entries, remap = pool.finish()
         id_sets = {
             node: frozenset(remap[i] for i in ids)
@@ -137,7 +149,7 @@ def _tvla_annotation(arts, result) -> Dict[str, object]:
             "nodes": model.encode_int_sets(id_sets, cfg_preds),
         }
     raw_ids = {
-        node: pool.add(model.structure_to_json(structure, preds))
+        node: pool_id(structure.canonical_key(preds), structure)
         for node, structure in result.node_states.items()
     }
     entries, remap = pool.finish()

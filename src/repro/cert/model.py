@@ -493,8 +493,12 @@ class ConformanceCertificate:
         return self.payload
 
     def text(self) -> str:
-        """Byte-stable pretty serialization (what `--emit-cert` writes)."""
-        return json.dumps(self.payload, sort_keys=True, indent=2) + "\n"
+        """The one serialization: :func:`canonical_text` of the payload
+        plus a trailing newline.  It is what ``--emit-cert`` writes, what
+        the store addresses by sha256 and what the served path ships;
+        read it with ``python -m json.tool``.  :meth:`load` parses any
+        JSON rendering, so certificates written indented still load."""
+        return canonical_text(self.payload) + "\n"
 
     def write(self, path: str) -> None:
         with open(path, "w", encoding="utf-8") as handle:

@@ -483,6 +483,7 @@ def _certify(args: argparse.Namespace) -> int:
         encode_delta,
         write_delta,
     )
+    from repro.cert.model import sha256_text
     from repro.runtime.trace import CollectingTracer, use_tracer
     from repro.suite import all_programs
 
@@ -558,6 +559,7 @@ def _certify(args: argparse.Namespace) -> int:
             seconds = time.monotonic() - started
             cert = report.certificate
             cert_path = None
+            cert_hash = cert_bytes = None
             line = (
                 f"{name:24s} {report.engine:18s} "
                 + ("CERTIFIED" if report.certified else
@@ -570,16 +572,22 @@ def _certify(args: argparse.Namespace) -> int:
                     else "  [full fallback]"
                 )
             if cert is not None:
+                # encoded once: the files, the byte count and the
+                # envelope's hash all come from this text
+                text = cert.text()
+                cert_hash = sha256_text(text)
+                cert_bytes = len(text)
                 if args.emit_cert:
-                    cert.write(args.emit_cert)
                     cert_path = args.emit_cert
-                if args.emit_cert_dir:
+                elif args.emit_cert_dir:
                     cert_path = (
                         f"{args.emit_cert_dir}/{name}-{report.engine}"
                         ".cert.json"
                     )
-                    cert.write(cert_path)
-                line += f"  [{len(cert.text())} cert bytes]"
+                if cert_path is not None:
+                    with open(cert_path, "w", encoding="utf-8") as handle:
+                        handle.write(text)
+                line += f"  [{cert_bytes} cert bytes]"
                 if args.emit_delta:
                     delta = encode_delta(parent, cert)
                     write_delta(delta, args.emit_delta)
@@ -609,6 +617,8 @@ def _certify(args: argparse.Namespace) -> int:
                         seconds=seconds,
                         events=tracer.events,
                         certificate_path=cert_path,
+                        cert_hash=cert_hash,
+                        cert_bytes=cert_bytes,
                     ),
                 }
             )

@@ -182,8 +182,16 @@ def report_envelope(
     events: Optional[Iterable[object]] = None,
     certificate_path: Optional[str] = None,
     cached: Optional[bool] = None,
+    cert_hash: Optional[str] = None,
+    cert_bytes: Optional[int] = None,
 ) -> Dict[str, object]:
-    """The envelope for a live :class:`~repro.certifier.report.CertificationReport`."""
+    """The envelope for a live :class:`~repro.certifier.report.CertificationReport`.
+
+    ``cert_hash``/``cert_bytes`` pass through to
+    :func:`certificate_section`: a caller that already serialized the
+    certificate (a store put, a file write) hands them over instead of
+    having it encoded a second time.
+    """
     stats = report.stats or {}
     partial = bool(stats.get("partial")) or stats.get("breach") is not None
     return make_envelope(
@@ -196,7 +204,11 @@ def report_envelope(
         ),
         alarms=model.alarms_to_json(report.alarms),
         certificate=certificate_section(
-            report.certificate, path=certificate_path, cached=cached
+            report.certificate,
+            path=certificate_path,
+            cached=cached,
+            cert_hash=cert_hash,
+            cert_bytes=cert_bytes,
         ),
         governor=governor_section(
             breach=stats.get("breach"),

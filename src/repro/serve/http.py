@@ -8,7 +8,8 @@ Endpoints::
     GET  /healthz              liveness + served specs
     GET  /stats                queue depth, hit rate, per-tenant spend
 
-Responses are JSON (``sort_keys``).  Refusals carry HTTP 429 plus a
+Responses are compact canonical JSON (sorted keys, no whitespace), the
+encoding certificates are stored in.  Refusals carry HTTP 429 plus a
 ``Retry-After`` header; malformed requests 400; unknown routes 404.
 The parser is deliberately minimal (request line, headers,
 Content-Length body) — this is an internal service endpoint, not a
@@ -24,6 +25,7 @@ import json
 import signal
 from typing import Dict, Optional, Tuple
 
+from repro.cert.model import canonical_text
 from repro.serve.service import CertificationService, ServeConfig
 
 #: cap on request bodies (certificates embed sources; 32 MiB is ample)
@@ -209,9 +211,7 @@ class ServeDaemon:
         extra_headers: Dict[str, str],
         keep_alive: bool,
     ) -> None:
-        body = (
-            json.dumps(payload, sort_keys=True, indent=2) + "\n"
-        ).encode("utf-8")
+        body = (canonical_text(payload) + "\n").encode("utf-8")
         lines = [
             f"HTTP/1.1 {status} {_STATUS_TEXT.get(status, 'Unknown')}",
             "Content-Type: application/json; charset=utf-8",

@@ -1026,11 +1026,20 @@ class CertificationService:
         if incremental:
             self._bump("incremental")
         self._bump("completed")
+        # the store put already encoded the certificate once: its hash
+        # and object size fill the certificate section without a second
+        # encode
         payload = env.report_envelope(
             report,
             seconds=seconds,
             events=tracer.events,
             cached=False,
+            cert_hash=cert_hash,
+            cert_bytes=(
+                self.store.object_size(cert_hash)
+                if cert_hash is not None
+                else None
+            ),
         )
         payload["served"] = self._served_stanza(
             job,
@@ -1064,12 +1073,20 @@ class CertificationService:
         self._account(job.state, seconds=seconds)
         self._bump("checks")
         self._bump("completed")
+        # a stored certificate is described by its content address; only
+        # a posted payload is encoded to get one
         payload = env.check_envelope(
             result,
             certificate=job.certificate,
             cached=job.cert_hash is not None,
             seconds=seconds,
             events=tracer.events,
+            cert_hash=job.cert_hash,
+            cert_bytes=(
+                self.store.object_size(job.cert_hash)
+                if job.cert_hash is not None
+                else None
+            ),
         )
         payload["served"] = {
             "tenant": job.tenant,

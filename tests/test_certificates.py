@@ -391,12 +391,28 @@ class TestCertificateFile:
         loaded = ConformanceCertificate.load(str(path))
         assert loaded.payload == report.certificate.payload
         assert checker.check(loaded).ok
-        # the on-disk form is canonical: sorted keys, trailing newline
+        # the on-disk form is compact canonical JSON: sorted keys, no
+        # whitespace, trailing newline
         text = path.read_text()
-        assert text.endswith("\n")
-        assert text == json.dumps(
-            json.loads(text), sort_keys=True, indent=2
-        ) + "\n"
+        assert text == model.canonical_text(json.loads(text)) + "\n"
+        assert text == report.certificate.text()
+
+    def test_indented_certificate_loads_and_checks(
+        self, emitting_session, checker, tmp_path
+    ):
+        """Certificates used to be written with ``indent=2``; such a file
+        still loads and is accepted, and re-encodes to the compact form."""
+        report = emitting_session.certify(
+            by_name("scanner").source, engine="interproc"
+        )
+        path = tmp_path / "scanner.cert.json"
+        path.write_text(
+            json.dumps(report.certificate.payload, sort_keys=True, indent=2)
+            + "\n"
+        )
+        loaded = ConformanceCertificate.load(str(path))
+        assert checker.check(loaded).ok
+        assert loaded.text() == report.certificate.text()
 
     def test_version_constant_recorded(self, emitting_session):
         report = emitting_session.certify(

@@ -20,6 +20,7 @@ from repro.cert import (
     materialize_delta,
     write_delta,
 )
+from repro.cert.model import canonical_text
 from repro.fuzz.edits import edit_sequence
 from repro.fuzz.generator import generate_client
 from repro.incr.dirty import clean_frontier, match_graphs
@@ -81,6 +82,20 @@ class TestDeltaCertificates:
         parent, child = pair
         delta = encode_delta(parent, child)
         assert len(delta_text(delta)) < len(child.text())
+
+    def test_delta_text_is_compact_canonical(self, pair):
+        parent, child = pair
+        delta = encode_delta(parent, child)
+        assert delta_text(delta) == canonical_text(delta) + "\n"
+
+    def test_version_one_delta_is_refused_as_unsupported(self, pair):
+        """Version 1 hashed the indented certificate text, so its hashes
+        match no current certificate: the version check refuses it
+        before any hash is compared."""
+        parent, child = pair
+        delta = {**encode_delta(parent, child), "version": 1}
+        with pytest.raises(CertificateError, match="unsupported version 1"):
+            materialize_delta(parent, delta)
 
     def test_file_round_trip(self, pair, tmp_path):
         parent, child = pair
@@ -391,6 +406,44 @@ class TestServeNearHit:
         assert p2["served"]["path"] == "incremental"
         assert p3["served"]["path"] == "check"  # exact hit now
         assert stats["requests"]["incremental"] == 1
+
+    def test_miss_and_near_encode_the_certificate_once(self, monkeypatch):
+        """The store put encodes a new certificate; the response's
+        certificate section reuses that hash and size instead of encoding
+        it again."""
+        from repro.serve.service import CertificationService, ServeConfig
+
+        calls = []
+        text = ConformanceCertificate.text
+
+        def counting_text(certificate):
+            calls.append(certificate)
+            return text(certificate)
+
+        monkeypatch.setattr(ConformanceCertificate, "text", counting_text)
+
+        async def scenario():
+            service = CertificationService(
+                ServeConfig(specs=("cmp",), workers=1)
+            )
+            await service.start()
+            base = generate_client(2)
+            counts = []
+            for source in (base, tail_insert(base)):
+                calls.clear()
+                status, payload = await service.certify(
+                    {"source": source, "engine": "fds", "spec": "cmp"}
+                )
+                assert status == 200
+                counts.append((payload["served"]["path"], len(calls)))
+                assert payload["certificate"]["hash"] == payload["served"]["hash"]
+                assert payload["certificate"]["bytes"] == len(
+                    text(calls[0]).encode("utf-8")
+                )
+            await service.stop()
+            return counts
+
+        assert asyncio.run(scenario()) == [("certify", 1), ("incremental", 1)]
 
     def test_explicit_parent_hash_is_honoured(self):
         from repro.serve.service import CertificationService, ServeConfig

@@ -61,6 +61,23 @@ def random_dense(rng, max_nodes=6):
     return structure
 
 
+def renumbered_packed(dense, rng):
+    """``dense`` packed with its nodes numbered in a random order."""
+    order = list(dense.nodes)
+    rng.shuffle(order)
+    packed = PackedStructure()
+    mapping = {node: packed.new_node(dense.summary[node]) for node in order}
+    for pred, value in dense.nullary.items():
+        packed.set(pred, (), value)
+    for pred, table in dense.unary.items():
+        for node, value in table.items():
+            packed.set(pred, (mapping[node],), value)
+    for pred, table in dense.binary.items():
+        for (left, right), value in table.items():
+            packed.set(pred, (mapping[left], mapping[right]), value)
+    return packed
+
+
 def random_formula(rng, depth=3, names="vw"):
     """A random formula over variables ``names`` (free or bound)."""
     if depth == 0 or rng.random() < 0.3:
@@ -373,6 +390,37 @@ class TestStructureJson:
             shared += len({k[0] for k in keys}) < len(keys)
             summary_ties += len(set(keys)) < len(keys)
         assert shared >= 5 and summary_ties >= 5, (shared, summary_ties)
+
+    def test_equal_canonical_keys_serialize_equally(self):
+        """Certificate emission serializes one structure per canonical
+        key, in both TVLA modes: structures with equal keys must
+        serialize equally, whatever their node numbering and whether or
+        not they were canonicalized."""
+        rng = random.Random(53)
+        preds = ["a", "b"]
+        by_key = {}
+        for _ in range(400):
+            dense = random_dense(rng, max_nodes=3)
+            plain = to_packed(dense)
+            for structure in (
+                plain,
+                renumbered_packed(dense, rng),
+                plain.canonicalize(preds),
+            ):
+                by_key.setdefault(structure.canonical_key(preds), []).append(
+                    (structure_to_json(structure, preds), structure)
+                )
+        renamed = 0
+        for members in by_key.values():
+            first_json, first = members[0]
+            assert all(json_ == first_json for json_, _ in members)
+            renamed += any(
+                (other.u_t, other.u_h, other.b_t, other.b_h)
+                != (first.u_t, first.u_h, first.b_t, first.b_h)
+                for _, other in members
+            )
+        # the keys really do equate differently numbered structures
+        assert renamed >= 50, renamed
 
     def test_canonicalized_structures_keep_their_numbering(self):
         """After ``canonicalize`` the canonical order is the identity,
