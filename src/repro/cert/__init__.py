@@ -15,6 +15,8 @@ applied to the paper's conformance certifiers: certify once, check
 everywhere.
 """
 
+import importlib
+
 from repro.cert.model import (
     CERT_FORMAT,
     CERT_VERSION,
@@ -22,18 +24,36 @@ from repro.cert.model import (
     ConformanceCertificate,
 )
 from repro.cert.check import CertificateChecker, CheckResult
-from repro.cert.delta import (
-    DELTA_FORMAT,
-    DELTA_VERSION,
-    certificate_hash,
-    check_delta,
-    delta_text,
-    encode_delta,
-    load_delta,
-    materialize_delta,
-    write_delta,
-)
-from repro.cert.mutate import mutate_certificate
+
+#: names loaded from their module on first use (PEP 562), so that a
+#: consumer importing the checker loads neither the delta codec nor the
+#: certificate mutator
+_LAZY = {
+    **dict.fromkeys(
+        [
+            "DELTA_FORMAT",
+            "DELTA_VERSION",
+            "certificate_hash",
+            "check_delta",
+            "delta_text",
+            "encode_delta",
+            "load_delta",
+            "materialize_delta",
+            "write_delta",
+        ],
+        "repro.cert.delta",
+    ),
+    "mutate_certificate": "repro.cert.mutate",
+}
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(_LAZY[name]), name)
+    globals()[name] = value
+    return value
+
 
 __all__ = [
     "CERT_FORMAT",

@@ -163,13 +163,18 @@ def _apply_annotation(parent: Dict[str, object], ops: Mapping[str, object]):
 
 
 def encode_delta(
-    parent: ConformanceCertificate, child: ConformanceCertificate
+    parent: ConformanceCertificate,
+    child: ConformanceCertificate,
+    child_hash: Optional[str] = None,
 ) -> Dict[str, object]:
     """Encode ``child`` as a delta against ``parent``.
 
     Works for any certificate pair (worst case everything lands in
     ``set``); pays off when the pair shares spec/options/engine and most
     of the source and annotation, i.e. parent/child of a small edit.
+    A caller that has already encoded the child passes its
+    :func:`certificate_hash` as ``child_hash`` instead of paying for a
+    second encoding; :func:`materialize_delta` still checks it.
     """
     ops: Dict[str, object] = {}
     drop = sorted(k for k in parent.payload if k not in child.payload)
@@ -199,7 +204,7 @@ def encode_delta(
         "format": DELTA_FORMAT,
         "version": DELTA_VERSION,
         "parent_hash": certificate_hash(parent),
-        "child_hash": certificate_hash(child),
+        "child_hash": child_hash or certificate_hash(child),
         "ops": ops,
     }
 
@@ -270,9 +275,12 @@ def delta_text(delta: Mapping[str, object]) -> str:
     return canonical_text(delta) + "\n"
 
 
-def write_delta(delta: Mapping[str, object], path: str) -> None:
+def write_delta(delta: Mapping[str, object], path: str) -> str:
+    """Write the delta's text to ``path`` and return that text."""
+    text = delta_text(delta)
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write(delta_text(delta))
+        handle.write(text)
+    return text
 
 
 def load_delta(path: str) -> Dict[str, object]:

@@ -22,7 +22,7 @@ import json
 import os
 from typing import Callable, Dict, List, Tuple
 
-from repro.lang.parser import JliteParseError, parse_program_ast
+from repro.lang.frontend import JliteParseError, check_syntax
 
 Predicate = Callable[[str], bool]
 
@@ -30,7 +30,7 @@ Predicate = Callable[[str], bool]
 def _still_interesting(source: str, predicate: Predicate) -> bool:
     """Parse-check then apply the caller's predicate, never raising."""
     try:
-        parse_program_ast(source)
+        check_syntax(source)
     except JliteParseError:
         return False
     try:

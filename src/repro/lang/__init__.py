@@ -8,12 +8,13 @@ worklist build tool and Fig. 3's iterator-aliasing fragment), while keeping
 the frontend first-party so the analyses exercise a realistic
 parse → typecheck → CFG pipeline instead of a JVM.
 
-* :mod:`repro.lang.ast` — surface abstract syntax.
-* :mod:`repro.lang.parser` — recursive-descent parser.
-* :mod:`repro.lang.types` — class table, name resolution, type checking.
-* :mod:`repro.lang.cfg` — 3-address control-flow-graph construction;
-  component interactions become :class:`~repro.lang.cfg.CallComp` edges
-  that downstream certifiers rewrite via the derived method abstractions.
+* :mod:`repro.lang.frontend` — the frontend: one recursive descent from
+  tokens straight to resolved, lowered methods, with no syntax tree.
+* :mod:`repro.lang.types` — the program model: class table, methods,
+  call sites.
+* :mod:`repro.lang.cfg` — 3-address control-flow graphs; component
+  interactions are :class:`~repro.lang.cfg.SCallComp` edges that
+  downstream certifiers rewrite via the derived method abstractions.
 * :mod:`repro.lang.callgraph` — the (monomorphic) client call graph.
 """
 

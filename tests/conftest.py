@@ -1,10 +1,15 @@
 """Shared fixtures: specs, abstractions, and suite programs."""
 
 import pytest
+from hypothesis import settings
 
 from repro.easl.library import aop_spec, cmp_spec, grp_spec, imp_spec
 from repro.derivation import derive
 from tests.store_kinds import KINDS
+
+#: ``--hypothesis-profile=nightly``: ten times hypothesis's default
+#: examples for every random test that does not pin its own count
+settings.register_profile("nightly", max_examples=1000)
 
 
 @pytest.fixture(scope="session")

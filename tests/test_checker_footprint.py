@@ -12,6 +12,9 @@ parse the source nor build a fact space.
 import ast
 import copy
 import gc
+import os
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -51,6 +54,39 @@ def test_checker_imports_no_fixpoint_engine():
     assert not _imported(Path(check.__file__)) & ENGINE_MODULES
     for path in Path(repro.cert.__file__).parent.glob("*.py"):
         assert "InterproceduralCertifier" not in path.read_text(), path.name
+
+
+#: loaded by none of the checker's imports: the delta codec and the
+#: certificate mutator are not needed to check, and the Jlite frontend
+#: has no syntax tree
+NOT_LOADED_BY_CHECKER = {
+    "repro.cert.delta",
+    "repro.cert.mutate",
+    "repro.lang.parser",
+    "repro.lang.ast",
+}
+
+
+def test_checker_import_closure_leaves_out_codec_mutator_and_ast():
+    """In a fresh interpreter, ``import repro.cert.check`` (and with it
+    the ``repro.cert`` package) loads none of :data:`NOT_LOADED_BY_CHECKER`,
+    while ``from repro.cert import mutate_certificate`` still works."""
+    code = (
+        "import sys\n"
+        "import repro.cert.check\n"
+        "print(' '.join(sorted(sys.modules)))\n"
+        "from repro.cert import DELTA_FORMAT, mutate_certificate\n"
+        "import repro.cert\n"
+        "assert all(hasattr(repro.cert, name) for name in repro.cert.__all__)\n"
+    )
+    src = str(Path(repro.cert.__file__).resolve().parents[2])
+    env = dict(os.environ, PYTHONPATH=src)
+    loaded = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, check=True, env=env,
+    ).stdout.split()
+    assert "repro.cert.check" in loaded
+    assert not NOT_LOADED_BY_CHECKER & set(loaded)
 
 
 def _reachable(root) -> list:

@@ -20,8 +20,8 @@ from repro.fuzz.shrink import (
     load_corpus,
     write_corpus_entry,
 )
-from repro.lang.parser import parse_program_ast
 from repro.lang.types import parse_program
+from tests.jlite_oracle import parse_program_ast
 
 
 class TestGenerator:

@@ -140,6 +140,44 @@ class TestDeltaCertificates:
         assert result.ok
         assert rebuilt is not None and rebuilt.text() == child.text()
 
+    def test_cli_delta_path_encodes_once_per_use(
+        self, pair, tmp_path, monkeypatch
+    ):
+        """``certify --incremental-from P --emit-delta D --check`` encodes
+        the child once (its file, hash and size), the parent once while
+        encoding the delta, and the parent and the rebuilt child once
+        each in the tamper check; the delta text is built once."""
+        from repro.cert import delta as delta_module
+        from repro.cli import main
+
+        parent, _child = pair
+        parent_path = tmp_path / "parent.cert.json"
+        parent_path.write_text(parent.text(), encoding="utf-8")
+        client = tmp_path / "child.jl"
+        client.write_text(tail_insert(generate_client(1)), encoding="utf-8")
+        calls = {"text": 0, "delta_text": 0}
+        text, encode = ConformanceCertificate.text, delta_module.delta_text
+
+        def counted_text(certificate):
+            calls["text"] += 1
+            return text(certificate)
+
+        def counted_delta_text(delta):
+            calls["delta_text"] += 1
+            return encode(delta)
+
+        monkeypatch.setattr(ConformanceCertificate, "text", counted_text)
+        monkeypatch.setattr(delta_module, "delta_text", counted_delta_text)
+        delta_path = tmp_path / "child.delta.json"
+        assert main([
+            "certify", str(client), "--engines", "fds",
+            "--incremental-from", str(parent_path),
+            "--emit-delta", str(delta_path), "--check", "--quiet",
+        ]) == 0
+        assert calls == {"text": 4, "delta_text": 1}
+        rebuilt = materialize_delta(parent, load_delta(str(delta_path)))
+        assert rebuilt.payload["source"] == client.read_text(encoding="utf-8")
+
 
 # -- dirty-region computation ------------------------------------------------
 
