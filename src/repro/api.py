@@ -59,7 +59,6 @@ from repro.generic_analysis import (
 )
 from repro.lang.inline import InlinedProgram, inline_program
 from repro.lang.types import Program, parse_program
-from repro.logic import packed as packed_kernel
 from repro.runtime.cache import (
     DEFAULT_CACHE_SIZE,
     CacheStats,
@@ -367,20 +366,16 @@ class CertifySession:
     def _specialize_tvp(self, inlined: InlinedProgram, abstraction):
         """Memoized specialized translation (per inlined program).
 
-        Action formulas are precompiled here, at specialize time, so a
-        first ("cold") certification does not pay formula compilation
-        inside the fixpoint — compiled closures live in process-wide
-        caches keyed by interned formula and are shared by every engine
-        constructed over this TVP.
+        The TVP holds no compiled code: the :class:`TvlaEngine` that
+        :meth:`artifacts` builds right after resolves each action's
+        evaluators, so a formula outside the TVP logic fails before any
+        fixpoint, and the evaluators die with the engine.
         """
-
-        def build():
-            tvp = specialized_translation(inlined, abstraction)
-            packed_kernel.precompile_tvp(tvp)
-            return tvp
-
         return _identity_memo(
-            self._tvp_by_obj, inlined, id(abstraction), build
+            self._tvp_by_obj,
+            inlined,
+            id(abstraction),
+            lambda: specialized_translation(inlined, abstraction),
         )
 
     # -- certification ---------------------------------------------------------

@@ -32,7 +32,7 @@ shapegraph: a missing successor is ``coverage``, a join that moves it
 
 Accept/reject is typed (:class:`CheckResult`); a reject carries the
 first violating edge.  The checker keeps the derived abstractions per
-(spec, options), deriving each once, and per recent client only what
+spec and flavour, deriving each once, and per recent client only what
 its replay reads (the boolean program, or the fact spaces with their
 call plans): a re-check parses nothing.
 """
@@ -114,14 +114,18 @@ class _Reject(Exception):
 class CertificateChecker:
     """Validates fixpoint certificates in one linear pass per edge set.
 
-    Reusable: derived abstractions are cached per (spec, options
-    fingerprint), so checking a batch of certificates against one spec
-    derives once.
+    Reusable: derived abstractions are cached per spec and flavour in
+    one bounded cache, so checking a batch of certificates against one
+    spec derives once, whatever options the certificates name.
     """
 
     def __init__(self) -> None:
         self._specs: Dict[str, ComponentSpec] = {}
-        self._abstractions: Dict[Tuple[str, str], LRUCache] = {}
+        # derivation reads no CertifyOptions, so the sessions of every
+        # options set share one cache
+        self._abstractions = LRUCache(
+            DEFAULT_CACHE_SIZE, name="checker-abstractions"
+        )
         # what a replay reads is a deterministic function of (spec,
         # options, engine, source); the source hash is verified against
         # the embedded text before it is used as a key, so memoizing it
@@ -151,11 +155,6 @@ class CertificateChecker:
         abstractions.  Its inline and TVP memos die with it: the build
         cache keeps what a replay reads, and a memo entry would pin the
         parsed program of every client checked."""
-        key = (spec.name, model.canonical_text(opts))
-        if key not in self._abstractions:
-            self._abstractions[key] = LRUCache(
-                DEFAULT_CACHE_SIZE, name=f"checker-abstractions[{spec.name}]"
-            )
         return CertifySession(
             spec,
             options=CertifyOptions(
@@ -163,7 +162,7 @@ class CertificateChecker:
                 prune_requires=bool(opts.get("prune_requires", True)),
                 inline_depth=int(opts.get("inline_depth", 12)),
             ),
-            cache=self._abstractions[key],
+            cache=self._abstractions,
         )
 
     # -- entry point --------------------------------------------------------

@@ -41,7 +41,7 @@ from repro.lang.cfg import (
     SStore,
 )
 from repro.lang.inline import InlinedProgram
-from repro.logic.compile import compile_condition
+from repro.logic.compile import CondFn, compile_condition
 from repro.logic.formula import EqAtom, Formula
 from repro.logic.terms import Base, Field, Fresh, Term
 from repro.runtime import guard as _guard
@@ -133,19 +133,56 @@ class GenericResult:
 # -- specification-body execution ----------------------------------------------------
 
 
+@dataclass(frozen=True)
+class _Assume:
+    """A flattened ``requires`` with its condition compiled."""
+
+    test: CondFn
+
+
+@dataclass(frozen=True)
+class _Branch:
+    """A flattened ``if`` with its condition compiled."""
+
+    test: CondFn
+    then_body: tuple
+    else_body: tuple
+
+
+def _compiled(stmts) -> tuple:
+    """``stmts`` with every condition compiled (see :func:`compile_condition`)."""
+    out = []
+    for stmt in stmts:
+        if isinstance(stmt, NAssume):
+            stmt = _Assume(compile_condition(stmt.cond))
+        elif isinstance(stmt, NBranch):
+            stmt = _Branch(
+                compile_condition(stmt.cond),
+                _compiled(stmt.then_body),
+                _compiled(stmt.else_body),
+            )
+        out.append(stmt)
+    return tuple(out)
+
+
 class _SpecRunner:
-    """Abstractly executes flattened Easl operation bodies."""
+    """Abstractly executes flattened Easl operation bodies.
+
+    Each operation is flattened once, its conditions compiled as it is,
+    so the compiled closures live (and die) with the runner."""
 
     def __init__(self, spec: ComponentSpec, domain: HeapDomain) -> None:
         self.spec = spec
         self.domain = domain
-        self._flattened: Dict[str, list] = {}
+        self._flattened: Dict[str, tuple] = {}
         self._temp_id = 0
 
-    def flattened(self, op: Operation) -> list:
+    def flattened(self, op: Operation) -> tuple:
         if op.key not in self._flattened:
             flattener = _Flattener(self.spec, op.key)
-            self._flattened[op.key] = flattener.flatten_operation(op)
+            self._flattened[op.key] = _compiled(
+                flattener.flatten_operation(op)
+            )
         return self._flattened[op.key]
 
     def run(
@@ -211,29 +248,29 @@ class _SpecRunner:
                 stmt.rhs, state, env, temps, site_id
             )
             return [self.domain.store(state, base_var, stmt.field, value_var)]
-        if isinstance(stmt, NAssume):
-            ok, state = self._check_cond(
-                stmt.cond, state, env, temps, site_id
+        if isinstance(stmt, _Assume):
+            value, state = self._eval_cond_3(
+                stmt.test, state, env, temps, site_id
             )
             if check_sink is not None:
-                check_sink.append((site_id, line, op.key, ok))
+                check_sink.append((site_id, line, op.key, value is True))
             return [state]
-        if isinstance(stmt, NBranch):
+        if isinstance(stmt, _Branch):
             value, state = self._eval_cond_3(
-                stmt.cond, state, env, temps, site_id
+                stmt.test, state, env, temps, site_id
             )
             results: List[object] = []
             if value is not False:
                 results.extend(
                     self._run_stmts(
-                        list(stmt.then_body), state, dict(env), temps, op,
+                        stmt.then_body, state, dict(env), temps, op,
                         site_id, line, check_sink,
                     )
                 )
             if value is not True:
                 results.extend(
                     self._run_stmts(
-                        list(stmt.else_body), state, dict(env), temps, op,
+                        stmt.else_body, state, dict(env), temps, op,
                         site_id, line, check_sink,
                     )
                 )
@@ -278,24 +315,15 @@ class _SpecRunner:
         state = self.domain.load(state, temp, base_var, term.field)
         return temp, state
 
-    def _check_cond(
-        self, cond: Formula, state, env, temps, site_id
-    ) -> Tuple[bool, object]:
-        """Is the requires condition must-true?  Returns (ok, state)."""
-        value, state = self._eval_cond_3(cond, state, env, temps, site_id)
-        return value is True, state
-
     def _eval_cond_3(
-        self, cond: Formula, state, env, temps, site_id
+        self, compiled: CondFn, state, env, temps, site_id
     ):
         """3-valued condition evaluation: True / False / None (unknown).
 
-        The connective layer runs through a closure compiled once per
-        condition (:func:`repro.logic.compile.compile_condition`); only
-        atom evaluation — which threads the abstract state through term
-        materialization — stays here.
+        The connective layer runs through the condition's compiled
+        closure; only atom evaluation — which threads the abstract state
+        through term materialization — stays here.
         """
-        compiled = compile_condition(cond)
 
         def eval_atom(atom: Formula, state):
             if not isinstance(atom, EqAtom):

@@ -1,4 +1,4 @@
-"""Formula hash-consing and the shared compiled-formula protocol.
+"""The shared compiled-formula protocol.
 
 The TVLA engine evaluates the same handful of formulas — the action
 updates and ``requires`` conditions of the specialized TVP program —
@@ -6,9 +6,6 @@ millions of times across focus/update/coerce.  The bit-plane compiler
 in :mod:`repro.logic.packed` turns each formula into flat closures once;
 this module holds what it builds on, plus the heap-domain variant:
 
-* :func:`intern` hash-conses :class:`~repro.logic.formula.Formula`
-  nodes, so structurally-equal formulas become reference-equal and share
-  one compiled evaluator;
 * :class:`CompiledFormula` is the slot protocol every compiled formula
   follows: free and quantified variables become positional slots in a
   single reusable list, so quantifiers are plain loops that write their
@@ -17,6 +14,10 @@ this module holds what it builds on, plus the heap-domain variant:
   same treatment for their 3-valued (``True``/``False``/``None``)
   condition evaluation over heap domains, with atom evaluation (which
   threads abstract state) left to a callback.
+
+Nothing here caches: whoever compiles a formula holds the closure for
+as long as it needs it (the TVLA engine per action, a heap-domain spec
+runner per flattened operation), so compiled code dies with its owner.
 """
 
 from __future__ import annotations
@@ -37,44 +38,6 @@ from repro.logic.formula import (
 )
 from repro.logic.kleene import Kleene
 from repro.logic.terms import Base
-
-# -- hash-consing ----------------------------------------------------------------
-
-_INTERN: Dict[Formula, Formula] = {}
-
-
-def intern(formula: Formula) -> Formula:
-    """Return the canonical instance of a structurally-equal formula.
-
-    Children are interned first, so two formulas that compare equal
-    always intern to the *same* object graph — which in turn means they
-    share one compiled evaluator and compare by identity thereafter.
-    """
-    if isinstance(formula, Truth):
-        return formula  # TRUE / FALSE are already singletons by use
-    if isinstance(formula, (EqAtom, PredAtom)):
-        return _INTERN.setdefault(formula, formula)
-    if isinstance(formula, Not):
-        body = intern(formula.body)
-        rebuilt = formula if body is formula.body else Not(body)
-        return _INTERN.setdefault(rebuilt, rebuilt)
-    if isinstance(formula, (And, Or)):
-        args = tuple(intern(a) for a in formula.args)
-        if all(a is b for a, b in zip(args, formula.args)):
-            rebuilt = formula
-        else:
-            rebuilt = type(formula)(args)
-        return _INTERN.setdefault(rebuilt, rebuilt)
-    if isinstance(formula, (Exists, Forall)):
-        body = intern(formula.body)
-        rebuilt = (
-            formula
-            if body is formula.body
-            else type(formula)(formula.var, body)
-        )
-        return _INTERN.setdefault(rebuilt, rebuilt)
-    raise TypeError(f"unknown formula node {formula!r}")
-
 
 # -- the compiled-formula protocol -----------------------------------------------
 
@@ -151,10 +114,10 @@ CondFn = Callable[
     Tuple[Optional[bool], object],
 ]
 
-_COND_BY_ID: Dict[int, Tuple[Formula, CondFn]] = {}
 
-
-def _compile_cond(cond: Formula) -> CondFn:
+def compile_condition(cond: Formula) -> CondFn:
+    """Compile a heap-domain condition formula; the caller owns (and
+    keeps) the closure."""
     if isinstance(cond, Truth):
         value = cond.value
 
@@ -169,7 +132,7 @@ def _compile_cond(cond: Formula) -> CondFn:
 
         return cond_atom
     if isinstance(cond, Not):
-        body = _compile_cond(cond.body)
+        body = compile_condition(cond.body)
 
         def cond_not(state, atom_fn, body=body):
             value, state = body(state, atom_fn)
@@ -177,7 +140,7 @@ def _compile_cond(cond: Formula) -> CondFn:
 
         return cond_not
     if isinstance(cond, And):
-        parts = tuple(_compile_cond(a) for a in cond.args)
+        parts = tuple(compile_condition(a) for a in cond.args)
 
         def cond_and(state, atom_fn, parts=parts):
             result: Optional[bool] = True
@@ -191,7 +154,7 @@ def _compile_cond(cond: Formula) -> CondFn:
 
         return cond_and
     if isinstance(cond, Or):
-        parts = tuple(_compile_cond(a) for a in cond.args)
+        parts = tuple(compile_condition(a) for a in cond.args)
 
         def cond_or(state, atom_fn, parts=parts):
             result: Optional[bool] = False
@@ -206,12 +169,3 @@ def _compile_cond(cond: Formula) -> CondFn:
         return cond_or
     raise TypeError(f"unsupported condition {cond!r}")
 
-
-def compile_condition(cond: Formula) -> CondFn:
-    """Compile (and cache, by identity) a heap-domain condition formula."""
-    entry = _COND_BY_ID.get(id(cond))
-    if entry is not None and entry[0] is cond:
-        return entry[1]
-    fn = _compile_cond(cond)
-    _COND_BY_ID[id(cond)] = (cond, fn)
-    return fn

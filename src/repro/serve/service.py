@@ -38,6 +38,7 @@ from repro.api import ENGINES, CertifyOptions, CertifySession
 from repro.cert import CertificateChecker, ConformanceCertificate, model
 from repro.cert.emit import options_payload
 from repro.easl.library import UnknownSpecError, available_specs, get_spec
+from repro.runtime.cache import DEFAULT_CACHE_SIZE, LRUCache
 from repro.runtime.guard import ResourceExhausted, ResourceGovernor
 from repro.runtime.executor import PoisonedRequest, WorkerSupervisor
 from repro.runtime.trace import CollectingTracer, use_tracer
@@ -170,19 +171,18 @@ class ServeConfig:
 
 
 #: per-process session cache for the ``worker_mode="process"`` pool,
-#: keyed like the parent's ``_sessions``.  A forked worker starts with
-#: whatever the parent had derived (module-level abstraction cache
-#: included) and keeps its own engines warm across requests.
-_PROC_SESSIONS: Dict[Tuple[str, str], CertifySession] = {}
+#: keyed and bounded like the parent's ``_sessions`` (request options are
+#: client-chosen).  A forked worker starts with whatever the parent had
+#: derived (module-level abstraction cache included) and keeps its own
+#: engines warm across requests.
+_PROC_SESSIONS = LRUCache(DEFAULT_CACHE_SIZE, name="serve-proc-sessions")
 
 
 def _proc_session(spec_name: str, options: CertifyOptions) -> CertifySession:
-    key = (spec_name, model.canonical_text(options_payload(options)))
-    session = _PROC_SESSIONS.get(key)
-    if session is None:
-        session = CertifySession(get_spec(spec_name), options=options)
-        _PROC_SESSIONS[key] = session
-    return session
+    return _PROC_SESSIONS.get_or_create(
+        (spec_name, model.canonical_text(options_payload(options))),
+        lambda: CertifySession(get_spec(spec_name), options=options),
+    )
 
 
 def _certify(
@@ -306,8 +306,9 @@ class CertificationService:
             else CertificateStore(self.config.store_path)
         )
         self.started_at = time.monotonic()
-        self._sessions: Dict[Tuple[str, str], _SpecSession] = {}
-        self._sessions_lock = threading.Lock()
+        #: one warm context per (spec, request options); bounded, since
+        #: every distinct set of client-chosen options adds one
+        self._sessions = LRUCache(DEFAULT_CACHE_SIZE, name="serve-sessions")
         self._tenants: Dict[str, _TenantState] = {}
         self._tenants_lock = threading.Lock()
         if self.config.worker_mode not in ("thread", "process"):
@@ -431,10 +432,9 @@ class CertificationService:
             spec_name,
             model.canonical_text(options_payload(merged)),
         )
-        with self._sessions_lock:
-            if key not in self._sessions:
-                self._sessions[key] = _SpecSession(get_spec(spec_name), merged)
-            return self._sessions[key]
+        return self._sessions.get_or_create(
+            key, lambda: _SpecSession(get_spec(spec_name), merged)
+        )
 
     def _merge_options(self, overrides: Dict[str, object]) -> CertifyOptions:
         base = self.config.options
@@ -693,14 +693,13 @@ class CertificationService:
             tenants = {
                 name: state.to_json() for name, state in self._tenants.items()
             }
-        with self._sessions_lock:
-            sessions = [
-                {
-                    "spec": key[0],
-                    "abstractions_derived": len(entry._abstraction_hashes),
-                }
-                for key, entry in sorted(self._sessions.items())
-            ]
+        sessions = [
+            {
+                "spec": key[0],
+                "abstractions_derived": len(entry._abstraction_hashes),
+            }
+            for key, entry in sorted(self._sessions.items())
+        ]
         return {
             "uptime_seconds": round(time.monotonic() - self.started_at, 3),
             "state": "draining" if self._draining else "ok",

@@ -109,6 +109,27 @@ class TvlaEngine:
                 Dict[Tuple[int, str], _CheckContribution],
             ],
         ] = {}
+        #: action identity -> (check evaluators, update evaluators),
+        #: resolved once here and keyed like ``_transfers`` (the TVP
+        #: keeps its actions alive).  A formula outside the TVP logic
+        #: raises CompileError now, before any fixpoint; focus formulas
+        #: are only read for their atom and are not compiled.
+        self._evaluators: Dict[int, tuple] = {}
+        for edge in tvp.edges:
+            action = edge.action
+            if id(action) not in self._evaluators:
+                self._evaluators[id(action)] = (
+                    tuple(
+                        packed_kernel.compile_packed_formula(check.cond)
+                        for check in action.checks
+                    ),
+                    tuple(
+                        packed_kernel.compile_update_plane(u.rhs, u.vars)
+                        if u.vars
+                        else packed_kernel.compile_packed_formula(u.rhs)
+                        for u in action.updates
+                    ),
+                )
 
     # -- initial state -------------------------------------------------------------------
 
@@ -195,8 +216,9 @@ class TvlaEngine:
         alarm_sink: Optional[Dict[Tuple[int, str], _CheckContribution]],
     ) -> Optional[PackedStructure]:
         current = structure
-        for check in action.checks:
-            value = current.eval(check.cond)
+        compiled = self._evaluators[id(action)][0]
+        for check, evaluate in zip(action.checks, compiled):
+            value = evaluate(current)
             if alarm_sink is not None:
                 # record *every* evaluation, passing ones included: an
                 # alarm is definite only when no structure reaching the
@@ -239,14 +261,14 @@ class TvlaEngine:
             # formulas in the post-universe minus predicate changes, so
             # re-point `pre` at a copy that has the node with all-0 values
             pre = post.copy()
-        for update in action.updates:
+        compiled = self._evaluators[id(action)][1]
+        for update, evaluate in zip(action.updates, compiled):
             if not update.vars:
-                post.set(update.pred, (), pre.eval(update.rhs, env))
+                post.set(update.pred, (), evaluate(pre, env))
                 continue
             # bulk bitwise transfer: one plane evaluation computes the
             # predicate's whole valuation
-            plane = packed_kernel.compile_update_plane(update.rhs, update.vars)
-            t, h = packed_kernel.evaluate_update_plane(pre, plane, env)
+            t, h = packed_kernel.evaluate_update_plane(pre, evaluate, env)
             post.set_plane(update.pred, len(update.vars), t, h)
         return post.canonicalize(self.abstraction_preds)
 

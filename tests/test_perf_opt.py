@@ -18,7 +18,7 @@ from repro.certifier.relational import RelationalSolver, StateExplosion
 from repro.certifier.transform import ClientTransformer
 from repro.lang import parse_program
 from repro.lang.inline import inline_program
-from repro.logic.compile import CompileError, intern
+from repro.logic.compile import CompileError
 from repro.logic.formula import (
     And,
     EqAtom,
@@ -34,10 +34,10 @@ from repro.logic.packed import (
     PackedStructure,
     compile_packed_formula,
     compile_update_plane,
-    precompile_tvp,
 )
 from repro.logic.terms import Base, Field
 from repro.suite import all_programs
+from repro.tvla.engine import TvlaEngine
 from repro.tvp.program import Action, Check, TvpProgram, Update
 from repro.util.worklist import PriorityWorklist, reverse_postorder
 from tests.structure_oracle import ThreeValuedStructure, to_packed
@@ -133,7 +133,6 @@ class TestCompiledEquivalence:
         f1 = Exists("x", PredAtom("u0", ("x",)))
         f2 = Exists("x", PredAtom("u0", ("x",)))
         assert f1 is not f2
-        assert intern(f1) is intern(f2)
         assert compile_packed_formula(f1) is compile_packed_formula(f2)
 
     @pytest.mark.parametrize(
@@ -162,10 +161,11 @@ class TestCompiledEquivalence:
             compile_update_plane(PredAtom("u0", ("v",)), variables)
 
 
-class TestSpecializeTime:
-    """``precompile_tvp`` compiles what the engine evaluates, so a bad
-    check or update fails when the TVP is specialized; focus formulas
-    are only read for their atom's name and are not compiled."""
+class TestEngineConstruction:
+    """``TvlaEngine`` resolves the evaluators of every action it will
+    run when it is built, so a bad check or update fails before any
+    fixpoint; focus formulas are only read for their atom's name and
+    are not compiled."""
 
     @staticmethod
     def _tvp(action):
@@ -190,16 +190,19 @@ class TestSpecializeTime:
         ],
         ids=["check", "nullary-update", "binary-update"],
     )
-    def test_bad_formula_fails_at_specialize_time(self, action):
+    def test_bad_formula_fails_at_engine_construction(self, action):
         with pytest.raises(CompileError):
-            precompile_tvp(self._tvp(action))
+            TvlaEngine(self._tvp(action))
 
     def test_focus_formulas_are_not_compiled(self):
         action = Action(
             focus=(PredAtom("q", ("x", "y", "z")),),
             updates=(Update("u0", ("v",), Not(PredAtom("u0", ("v",)))),),
         )
-        assert precompile_tvp(self._tvp(action)) == 1
+        checks, updates = TvlaEngine(self._tvp(action))._evaluators[
+            id(action)
+        ]
+        assert checks == () and len(updates) == 1
 
 
 # -- canonical-key memoization ------------------------------------------------

@@ -8,6 +8,7 @@ import pytest
 
 from repro.cert import ConformanceCertificate
 from repro.cert.mutate import mutate_certificate
+from repro.runtime.cache import LRUCache
 from repro.serve.http import ServeDaemon
 from repro.serve.loadgen import _Client, _verdict_signature
 from repro.serve.service import (
@@ -96,7 +97,7 @@ class TestAdmissionAndEnvelope:
                 {"source": SEC3, "engine": "fds", "tenant": "beta"}
             )
             stats = service.stats()
-            sessions = dict(service._sessions)
+            sessions = dict(service._sessions.items())
             await service.stop()
             return first, second, stats, sessions
 
@@ -111,6 +112,43 @@ class TestAdmissionAndEnvelope:
         assert set(stats["tenants"]) == {"alpha", "beta"}
         assert stats["tenants"]["alpha"]["misses"] == 1
         assert stats["requests"]["certifications"] == 2
+
+
+class TestSessionBound:
+    def test_sessions_stay_at_their_bound(self):
+        """Each distinct set of request options gets its own session;
+        past the bound the least recent is evicted, and a request for
+        an evicted set is still answered correctly."""
+
+        async def scenario():
+            service = await started(make_service())
+            service._sessions = LRUCache(2, name="serve-sessions")
+            answers, counts = [], []
+            for depth in (8, 9, 10, 11, 8):
+                answers.append(
+                    await service.certify(
+                        {
+                            "source": FIG3,
+                            "engine": "fds",
+                            "options": {"inline_depth": depth},
+                        }
+                    )
+                )
+                counts.append(len(service._sessions))
+            stats = service.stats()
+            await service.stop()
+            return answers, counts, stats
+
+        answers, counts, stats = run(scenario())
+        assert counts == [1, 2, 2, 2, 2]
+        assert len(stats["sessions"]) == 2
+        assert all(status == 200 for status, _ in answers)
+        first, again = answers[0][1], answers[-1][1]
+        # the evicted set's answer is a store hit, checked by a fresh
+        # session for those options
+        assert first["verdict"]["status"] == "ok"
+        assert again["verdict"]["status"] == "accepted"
+        assert again["alarms"] == first["alarms"]
 
 
 class TestStoreHits:
