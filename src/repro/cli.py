@@ -1281,12 +1281,7 @@ def _bench_serve(args: argparse.Namespace) -> int:
 
 
 def _batch_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "manifest",
-        nargs="?",
-        help="path to the JSON job manifest (not needed with "
-        "--shard-index or --merge-shards)",
-    )
+    parser.add_argument("manifest", help="path to the JSON job manifest")
     parser.add_argument(
         "--jobs",
         type=int,
@@ -1343,43 +1338,6 @@ def _batch_arguments(parser: argparse.ArgumentParser) -> None:
         "emitted certificates are re-verified by SHA-256 first "
         "(requires --checkpoint-dir)",
     )
-    group = parser.add_argument_group(
-        "shards",
-        "lay the run's certificates and checkpoint journals out as "
-        "shards under --shard-dir (every job still runs on the one "
-        "pool), or hand shards to other hosts via that directory",
-    )
-    group.add_argument(
-        "--shards",
-        type=int,
-        metavar="N",
-        help="lay the results out as N shards under --shard-dir (job i "
-        "goes to shard i mod N; default N = --jobs)",
-    )
-    group.add_argument(
-        "--shard-dir",
-        metavar="DIR",
-        help="shared directory holding the shard plan, per-shard "
-        "manifests, certificate dirs and checkpoint journals",
-    )
-    group.add_argument(
-        "--write-shards",
-        action="store_true",
-        help="only write the shard plan into --shard-dir and exit "
-        "(for multi-host handoff via --shard-index)",
-    )
-    group.add_argument(
-        "--shard-index",
-        type=int,
-        metavar="K",
-        help="run shard K of the plan in --shard-dir on this host",
-    )
-    group.add_argument(
-        "--merge-shards",
-        action="store_true",
-        help="merge completed per-shard certificates from --shard-dir "
-        "(each re-verified by SHA-256 against its journal) and exit",
-    )
 
 
 def _batch(args: argparse.Namespace) -> int:
@@ -1390,51 +1348,14 @@ def _batch(args: argparse.Namespace) -> int:
     """
     from repro.runtime.batch import BatchRunner, ManifestError, load_manifest
 
-    for flag, given in (
-        ("--merge-shards", args.merge_shards),
-        ("--shard-index", args.shard_index is not None),
-        ("--write-shards", args.write_shards),
-    ):
-        if given and not args.shard_dir:
-            raise UsageError(f"{flag} requires --shard-dir")
-
-    if args.merge_shards:
-        from repro.runtime.coordinator import merge_shards
-
-        try:
-            summary = merge_shards(args.shard_dir)
-        except (OSError, json.JSONDecodeError, ValueError) as error:
-            raise UsageError(f"merge failed: {error}") from None
-        _write_json(summary, args.json)
-        if not args.quiet:
-            print(
-                f"merged {summary['merged']}/{summary['jobs_journaled']} "
-                f"certificates from {summary['shards']} shard(s) into "
-                f"{summary['dest']} "
-                f"({len(summary['mismatched'])} mismatched, "
-                f"{len(summary['missing'])} missing)"
-            )
-        return 0 if summary["ok"] else 1
-
-    if args.shard_dir is not None or args.shard_index is not None:
-        # a shard layout fixes where certificates and journals go
-        _reject_unhonoured(
-            "the shard layout",
-            (
-                ("--emit-certs", args.emit_certs),
-                ("--checkpoint-dir", args.checkpoint_dir),
-                ("--run-id", args.run_id),
-                (
-                    "--shards",
-                    args.shards if args.shard_index is not None else None,
-                ),
-            ),
-            "a sharded run writes certificates and journals under "
-            "--shard-dir (collect the certificates with --merge-shards)",
-        )
-    if args.resume and not (args.checkpoint_dir or args.shard_dir):
+    if args.resume and not args.checkpoint_dir:
         raise UsageError("--resume requires --checkpoint-dir")
-    runner_options = dict(
+    try:
+        jobs = load_manifest(args.manifest)
+    except (OSError, json.JSONDecodeError, ManifestError) as error:
+        raise UsageError(f"bad manifest: {error}") from None
+    result = BatchRunner(
+        jobs,
         max_workers=args.jobs,
         default_timeout=args.timeout,
         default_fallback=args.fallback,
@@ -1443,55 +1364,11 @@ def _batch(args: argparse.Namespace) -> int:
         default_max_steps=args.governor_steps,
         default_max_structures=args.max_structures,
         default_ladder=True if args.ladder else None,
+        emit_certs_dir=args.emit_certs,
+        checkpoint_dir=args.checkpoint_dir,
+        run_id=args.run_id,
         resume=args.resume,
-    )
-
-    if args.shard_index is not None:
-        from repro.runtime.coordinator import run_shard
-
-        try:
-            result = run_shard(
-                args.shard_dir, args.shard_index, **runner_options
-            )
-        except (OSError, json.JSONDecodeError, ValueError) as error:
-            raise UsageError(f"shard run failed: {error}") from None
-    else:
-        if args.manifest is None:
-            raise UsageError(
-                "a manifest is required unless --shard-index or "
-                "--merge-shards is given"
-            )
-        try:
-            jobs = load_manifest(args.manifest)
-        except (OSError, json.JSONDecodeError, ManifestError) as error:
-            raise UsageError(f"bad manifest: {error}") from None
-
-        if args.write_shards:
-            from repro.runtime.coordinator import write_shard_plan
-
-            plan = write_shard_plan(
-                jobs, args.shard_dir, shards=args.shards or max(args.jobs, 1)
-            )
-            if not args.quiet:
-                print(
-                    f"wrote shard plan {plan['run_id']}: {plan['shards']} "
-                    f"shard(s) over {len(jobs)} job(s) in {args.shard_dir}"
-                )
-            return 0
-
-        try:
-            runner = BatchRunner(
-                jobs,
-                emit_certs_dir=args.emit_certs,
-                checkpoint_dir=args.checkpoint_dir,
-                run_id=args.run_id,
-                shards=args.shards,
-                shard_dir=args.shard_dir,
-                **runner_options,
-            )
-        except (OSError, ValueError) as error:
-            raise UsageError(str(error)) from None
-        result = runner.run()
+    ).run()
     if args.trace:
         result.write_trace(args.trace)
     _write_json(result.to_json(), args.json)
@@ -1758,9 +1635,8 @@ def _chaos_arguments(parser: argparse.ArgumentParser) -> None:
         default="store,serve,batch",
         metavar="L1,L2,...",
         help="comma-separated layers to attack (default: store, serve "
-        "and batch; 'coordinator' and 'summarydb' attack a sharded "
-        "batch run and the persistent summary database and run only "
-        "when named)",
+        "and batch; 'summarydb' attacks the persistent summary "
+        "database and runs only when named)",
     )
     parser.add_argument(
         "--workdir",

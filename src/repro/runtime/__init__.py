@@ -66,13 +66,6 @@ _BATCH_EXPORTS = (
     "load_manifest",
 )
 
-_COORDINATOR_EXPORTS = (
-    "load_shard_plan",
-    "merge_shards",
-    "run_shard",
-    "write_shard_plan",
-)
-
 __all__ = [
     "CacheStats",
     "CollectingTracer",
@@ -97,7 +90,6 @@ __all__ = [
     "stable_key",
     "use_tracer",
     *_BATCH_EXPORTS,
-    *_COORDINATOR_EXPORTS,
 ]
 
 
@@ -106,8 +98,4 @@ def __getattr__(name: str):
         from repro.runtime import batch
 
         return getattr(batch, name)
-    if name in _COORDINATOR_EXPORTS:
-        from repro.runtime import coordinator
-
-        return getattr(coordinator, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -22,13 +22,6 @@ a *manifest* of (client, spec, engine) jobs on a
   batch;
 * **deterministic results** — results come back in manifest order no
   matter the completion order;
-* **shard layout** — with ``shard_dir`` the run writes job *i*'s
-  certificate and journal record under ``shard_dir/shard-(i mod N)/``,
-  one journal per shard named by that shard's run id: the same layout a
-  single shard run elsewhere (:func:`repro.runtime.coordinator.run_shard`)
-  writes, so the shards merge and resume alike.  Sharding changes only
-  where results land; every job still runs on the one pool, in
-  manifest order, taken by the first free worker;
 * **checkpoint/resume** — with a checkpoint directory every finished
   job is appended (fsynced) to a per-run JSONL journal as it
   completes; a re-run with ``resume=True`` (``repro batch --resume``)
@@ -243,28 +236,6 @@ class JobResult:
         }
 
 
-def shard_name(index: int) -> str:
-    return f"shard-{index:03d}"
-
-
-@dataclass
-class ShardStats:
-    shard: int
-    jobs: int
-    completed: int = 0
-    resumed: int = 0
-    ok: int = 0
-
-    def to_json(self) -> dict:
-        return {
-            "shard": self.shard,
-            "jobs": self.jobs,
-            "completed": self.completed,
-            "resumed": self.resumed,
-            "ok": self.ok,
-        }
-
-
 @dataclass
 class BatchResult:
     """Results for the whole manifest, in manifest order."""
@@ -276,8 +247,6 @@ class BatchResult:
     cache: Optional[CacheStats] = None
     #: jobs restored from a checkpoint journal instead of re-run
     resumed: int = 0
-    #: per-shard counts when the run wrote a shard layout
-    shard_stats: Optional[List[ShardStats]] = None
 
     @property
     def ok(self) -> bool:
@@ -351,7 +320,7 @@ class BatchResult:
                     ),
                 }
             )
-        doc: Dict[str, object] = {
+        return {
             "seconds": round(self.seconds, 4),
             "jobs": self.jobs,
             "ok": self.ok,
@@ -359,12 +328,6 @@ class BatchResult:
             "cache": self.cache.to_json() if self.cache else None,
             "results": records,
         }
-        if self.shard_stats is not None:
-            doc["coordinator"] = {
-                "shards": len(self.shard_stats),
-                "per_shard": [s.to_json() for s in self.shard_stats],
-            }
-        return doc
 
     def format_summary(self) -> str:
         """The aggregated batch table (rendered by ``repro batch``)."""
@@ -406,16 +369,6 @@ class BatchResult:
             )
         if self.cache is not None:
             lines.append(f"[{self.cache}]")
-        if self.shard_stats is not None:
-            lines.append(
-                f"[{len(self.shard_stats)} shard(s): "
-                + ", ".join(
-                    f"#{s.shard}:{s.completed}/{s.jobs}"
-                    + (f"(+{s.resumed} resumed)" if s.resumed else "")
-                    for s in self.shard_stats
-                )
-                + "]"
-            )
         return "\n".join(lines)
 
 
@@ -783,10 +736,7 @@ class BatchRunner:
 
     ``max_workers=1`` runs the jobs sequentially in-process (identical
     semantics, no pool overhead) — the baseline the parallel speedup is
-    measured against.  ``shard_dir`` lays the run's certificates and
-    journals out as ``shards`` shards (default: one per worker) in place
-    of ``emit_certs_dir`` / ``checkpoint_dir`` / ``run_id``, and writes
-    the shard plan there unless one exists.
+    measured against.
     """
 
     def __init__(
@@ -806,16 +756,9 @@ class BatchRunner:
         checkpoint_dir: Optional[str] = None,
         run_id: Optional[str] = None,
         resume: bool = False,
-        shards: Optional[int] = None,
-        shard_dir: Optional[str] = None,
     ) -> None:
         if not jobs:
             raise ValueError("no jobs to run")
-        if shard_dir is None and shards is not None:
-            raise ValueError(
-                "shards need a shard directory (--shard-dir) to be laid "
-                "out in"
-            )
         self.emit_certs_dir = emit_certs_dir
         self.jobs = [
             self._apply_defaults(
@@ -826,9 +769,7 @@ class BatchRunner:
                 default_max_steps,
                 default_max_structures,
                 default_ladder,
-                emit_certificates=(
-                    emit_certs_dir is not None or shard_dir is not None
-                ),
+                emit_certificates=emit_certs_dir is not None,
             )
             for job in jobs
         ]
@@ -844,46 +785,10 @@ class BatchRunner:
         self._io = StoreIO()
         self._job_keys = [job_key(job) for job in self.jobs]
         self.run_id = run_id or run_id_of(self._job_keys)
-        self.shard_dir = shard_dir
-        self.shards = 1
-        #: per job index: the certificate directory and journal it uses
-        self._cert_dirs: List[Optional[str]] = [emit_certs_dir] * len(self.jobs)
-        self._journals: List[Optional[str]] = [self.journal_path] * len(
-            self.jobs
-        )
-        if shard_dir is not None:
-            self.shards = max(
-                1, min(int(shards or self.max_workers), len(self.jobs))
-            )
-            for shard in range(self.shards):
-                base = os.path.join(shard_dir, shard_name(shard))
-                journal = os.path.join(
-                    base,
-                    "checkpoint",
-                    f"{run_id_of(self._job_keys[shard::self.shards])}.jsonl",
-                )
-                for index in range(shard, len(self.jobs), self.shards):
-                    self._cert_dirs[index] = os.path.join(base, "certs")
-                    self._journals[index] = journal
-            from repro.runtime.coordinator import (
-                PLAN_NAME,
-                load_shard_plan,
-                write_shard_plan,
-            )
-
-            if not os.path.exists(os.path.join(shard_dir, PLAN_NAME)):
-                write_shard_plan(jobs, shard_dir, shards=self.shards)
-            elif (planned := load_shard_plan(shard_dir)["shards"]) != self.shards:
-                # merge_shards reads the plan's count: a different
-                # layout would strand the extra shards
-                raise ValueError(
-                    f"{shard_dir} holds a {planned}-shard plan, "
-                    f"not {self.shards}"
-                )
 
     @property
     def journal_path(self) -> Optional[str]:
-        """Where an unsharded run's checkpoint journal lives (JSONL)."""
+        """Where the run's checkpoint journal lives (JSONL)."""
         if self.checkpoint_dir is None:
             return None
         return os.path.join(self.checkpoint_dir, f"{self.run_id}.jsonl")
@@ -965,11 +870,10 @@ class BatchRunner:
         self, index: int, outcome: _JobOutcome
     ) -> Optional[str]:
         """Persist a job's certificate text; returns the path written."""
-        certs_dir = self._cert_dirs[index]
-        if certs_dir is None or outcome.certificate is None:
+        if self.emit_certs_dir is None or outcome.certificate is None:
             return None
         safe = self.jobs[index].name.replace(os.sep, "_")
-        path = os.path.join(certs_dir, f"{safe}.cert.json")
+        path = os.path.join(self.emit_certs_dir, f"{safe}.cert.json")
         # atomic + fsynced: a crash mid-emission leaves the previous
         # certificate (or nothing), never a torn file a later --resume
         # would have to reject
@@ -1016,7 +920,7 @@ class BatchRunner:
 
     def _journal(self, index: int, outcome: Optional[_JobOutcome]) -> None:
         """Durably append the finalized result for job ``index``."""
-        path = self._journals[index]
+        path = self.journal_path
         if path is None:
             return
         result = self._results[index]
@@ -1052,11 +956,9 @@ class BatchRunner:
         self._io.append_line(path, json.dumps(record, sort_keys=True))
 
     def _load_checkpoint(self) -> Dict[str, dict]:
-        """Records of every journal this run writes, by job key."""
-        records: Dict[str, dict] = {}
-        for path in sorted({p for p in self._journals if p is not None}):
-            records.update(read_journal(path))
-        return records
+        """Records of this run's journal, by job key."""
+        path = self.journal_path
+        return {} if path is None else read_journal(path)
 
     def _restore(self, index: int, record: dict) -> bool:
         """Rebuild a journaled result; False = journal not trustworthy.
@@ -1190,7 +1092,6 @@ class BatchRunner:
             prewarm_events=prewarm_events,
             cache=WARM_ABSTRACTIONS.stats(),
             resumed=len(restored),
-            shard_stats=self._shard_stats(restored),
         )
 
     def _run_job(
@@ -1239,21 +1140,3 @@ class BatchRunner:
                     "retries",
                     min(supervisor.crashes(key), self.max_retries),
                 )
-
-    def _shard_stats(self, restored: set) -> Optional[List[ShardStats]]:
-        if self.shard_dir is None:
-            return None
-        stats = []
-        for shard in range(self.shards):
-            indices = range(shard, len(self.jobs), self.shards)
-            resumed = sum(1 for index in indices if index in restored)
-            stats.append(
-                ShardStats(
-                    shard=shard,
-                    jobs=len(indices),
-                    completed=len(indices) - resumed,
-                    resumed=resumed,
-                    ok=sum(1 for index in indices if self._results[index].ok),
-                )
-            )
-        return stats

@@ -129,6 +129,10 @@ class LRUCache:
                 self._data.popitem(last=False)
                 self._evictions += 1
 
+    def pop(self, key: Hashable, default: Any = None) -> Any:
+        with self._lock:
+            return self._data.pop(key, default)
+
     def items(self):
         with self._lock:
             return list(self._data.items())

@@ -1,6 +1,6 @@
 """The one supervised process pool.
 
-Batch runs (sharded or not) and ``repro serve --worker-mode process``
+Batch runs and ``repro serve --worker-mode process``
 fan certification out through :class:`WorkerSupervisor`.  It owns every
 decision about worker processes, so each lives in one place:
 

@@ -29,6 +29,7 @@ from typing import Callable, Dict, Optional
 
 from repro.cert import model
 from repro.cert.model import ConformanceCertificate
+from repro.runtime.cache import DEFAULT_CACHE_SIZE, LRUCache
 from repro.store.core import ContentStore
 from repro.store.io import StoreIO
 
@@ -130,8 +131,9 @@ class CertificateStore(ContentStore):
         )
         # parsed-object cache: objects are immutable, so a payload parsed
         # once (or supplied to put()) serves every later hit without a
-        # JSON decode on the hot path; callers must treat it read-only
-        self._parsed: Dict[str, ConformanceCertificate] = {}
+        # JSON decode on the hot path; callers must treat it read-only.
+        # Bounded: an evicted certificate is re-parsed from its text
+        self._parsed = LRUCache(DEFAULT_CACHE_SIZE, name="parsed-certs")
 
     def put(
         self, cert: ConformanceCertificate, key: Optional[str] = None
@@ -151,8 +153,7 @@ class CertificateStore(ContentStore):
             cert.text(),
             {"index": key, "lineage": certificate_lineage_key(cert)},
         )
-        with self._lock:
-            self._parsed[cert_hash] = cert
+        self._parsed.put(cert_hash, cert)
         return cert_hash
 
     def resolve(self, key: str) -> Optional[str]:
@@ -190,13 +191,9 @@ class CertificateStore(ContentStore):
     def _parse(self, cert_hash: str, text: str) -> ConformanceCertificate:
         """Parsed certificate for already-verified text (cached: the
         object layer is immutable, so one decode serves every hit)."""
-        with self._lock:
-            cert = self._parsed.get(cert_hash)
-        if cert is None:
-            cert = ConformanceCertificate(_loads(text))
-            with self._lock:
-                self._parsed.setdefault(cert_hash, cert)
-        return cert
+        return self._parsed.get_or_create(
+            cert_hash, lambda: ConformanceCertificate(_loads(text))
+        )
 
     def _forget(self, object_hash: Optional[str] = None) -> None:
         super()._forget(object_hash)

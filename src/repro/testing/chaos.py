@@ -35,7 +35,6 @@ from __future__ import annotations
 import asyncio
 import errno
 import functools
-import json
 import multiprocessing
 import os
 import random
@@ -580,168 +579,6 @@ def run_batch_scenario(seed: int, workdir: str) -> ScenarioResult:
     return result
 
 
-# -- coordinator scenario ------------------------------------------------------
-
-#: suite programs for the sharded scenario — two jobs per shard, so a
-#: kill can land between jobs of one shard
-COORDINATOR_PROGRAMS = (
-    "fig3", "sec3_loop", "alias_chain",
-    "loop_invalidate", "remove_self_ok", "remove_breaks_sibling",
-)
-
-
-def _coordinator_jobs():
-    from repro.runtime.batch import JobSpec
-    from repro.suite import by_name
-
-    return [
-        JobSpec(
-            name=name,
-            spec="cmp",
-            source=by_name(name).source,
-            engine="fds",
-        )
-        for name in COORDINATOR_PROGRAMS
-    ]
-
-
-def _coordinator_child(
-    shard_dir: str, delay: float
-) -> None:  # pragma: no cover - exercised via SIGKILLed child processes
-    import repro.runtime.batch as batch_module
-
-    if delay > 0:
-        real_worker_run = batch_module._worker_run
-
-        def slowed(item):
-            outcome = real_worker_run(item)
-            time.sleep(delay)
-            return outcome
-
-        batch_module._worker_run = slowed
-    batch_module.BatchRunner(
-        _coordinator_jobs(),
-        shards=3,
-        max_workers=1,
-        shard_dir=shard_dir,
-    ).run()
-
-
-def _shard_journal_lines(shard_dir: str) -> int:
-    total = 0
-    try:
-        entries = sorted(os.listdir(shard_dir))
-    except OSError:
-        return 0
-    for entry in entries:
-        checkpoint = os.path.join(shard_dir, entry, "checkpoint")
-        if not entry.startswith("shard-") or not os.path.isdir(checkpoint):
-            continue
-        for journal in os.listdir(checkpoint):
-            if journal.endswith(".jsonl"):
-                total += _journal_lines(os.path.join(checkpoint, journal))
-    return total
-
-
-def run_coordinator_scenario(seed: int, workdir: str) -> ScenarioResult:
-    """SIGKILL a sharded batch run mid-run, resume, merge, compare.
-
-    The run dies between jobs; the resumed run must restore every
-    journaled job from the per-shard journals, finish the remainder, and
-    end with statuses and certificate bytes identical to an
-    uninterrupted reference run.  The final merge must verify every
-    certificate against its journal hash.
-    """
-    from repro.runtime.batch import BatchRunner
-    from repro.runtime.coordinator import merge_shards
-
-    rng = random.Random(seed)
-    kill_after = rng.choice((1, 2, 4, len(COORDINATOR_PROGRAMS)))
-    result = ScenarioResult(
-        layer="coordinator", seed=seed, kind=f"sigkill-after-{kill_after}"
-    )
-    base = os.path.join(workdir, f"coordinator-{seed}")
-    ref_dir = os.path.join(base, "ref")
-    chaos_dir = os.path.join(base, "chaos")
-
-    reference = BatchRunner(
-        _coordinator_jobs(), shards=3, max_workers=1, shard_dir=ref_dir
-    ).run()
-    ref_status = {r.job.name: r.status for r in reference.results}
-    ref_merge = merge_shards(ref_dir)
-    ref_bytes = {}
-    for entry in sorted(os.listdir(ref_merge["dest"])):
-        if not entry.endswith(".cert.json"):
-            continue  # merged.json carries run metadata, not a cert
-        with open(os.path.join(ref_merge["dest"], entry), "rb") as handle:
-            ref_bytes[entry] = handle.read()
-    if not ref_merge["ok"]:
-        result.violations.append("fault-free merge failed")
-        return result
-
-    context = multiprocessing.get_context(
-        "fork"
-        if "fork" in multiprocessing.get_all_start_methods()
-        else None
-    )
-    child = context.Process(
-        target=_coordinator_child, args=(chaos_dir, 0.05)
-    )
-    child.start()
-    deadline = time.monotonic() + 120.0
-    while (
-        child.is_alive()
-        and _shard_journal_lines(chaos_dir) < kill_after
-        and time.monotonic() < deadline
-    ):
-        time.sleep(0.01)
-    if child.is_alive():
-        assert child.pid is not None
-        os.kill(child.pid, signal.SIGKILL)
-    child.join(30.0)
-    result.notes["journaled_before_kill"] = _shard_journal_lines(chaos_dir)
-
-    resumed = BatchRunner(
-        _coordinator_jobs(),
-        shards=3,
-        max_workers=1,
-        shard_dir=chaos_dir,
-        resume=True,
-    ).run()
-    result.notes["resumed_jobs"] = resumed.resumed
-    got_status = {r.job.name: r.status for r in resumed.results}
-    if got_status != ref_status:
-        result.violations.append(
-            f"resumed statuses {got_status} != fault-free {ref_status}"
-        )
-    merge = merge_shards(chaos_dir)
-    result.notes["merge"] = {
-        "merged": merge["merged"],
-        "mismatched": len(merge["mismatched"]),
-        "missing": len(merge["missing"]),
-    }
-    if not merge["ok"]:
-        result.violations.append(
-            f"merge after resume not clean: {merge['mismatched']} "
-            f"mismatched, {merge['missing']} missing"
-        )
-    for entry, expected in ref_bytes.items():
-        path = os.path.join(merge["dest"], entry)
-        try:
-            with open(path, "rb") as handle:
-                actual = handle.read()
-        except OSError:
-            result.violations.append(
-                f"certificate {entry} missing after resume+merge"
-            )
-            continue
-        if actual != expected:
-            result.violations.append(
-                f"certificate {entry} not byte-identical after resume"
-            )
-    return result
-
-
 # -- summary-db scenario -------------------------------------------------------
 
 #: a procedure-rich client small enough to certify in well under a
@@ -863,7 +700,6 @@ SCENARIOS: Dict[str, Callable[[int, str], ScenarioResult]] = {
     "store": run_store_scenario,
     "serve": run_serve_scenario,
     "batch": run_batch_scenario,
-    "coordinator": run_coordinator_scenario,
     "summarydb": run_summarydb_scenario,
 }
 
@@ -938,8 +774,8 @@ def plan_layers(schedules: int, layers: Sequence[str]) -> List[str]:
     """The deterministic layer assignment for each schedule index.
 
     Layers with a weight in :data:`LAYER_CYCLE` keep their ratio;
-    requested layers outside the cycle (coordinator, summarydb — both
-    expensive, both opt-in) are appended with weight one."""
+    requested layers outside the cycle (summarydb, expensive and
+    opt-in) are appended with weight one."""
     enabled = [layer for layer in LAYER_CYCLE if layer in layers]
     enabled.extend(
         layer for layer in layers

@@ -67,26 +67,39 @@ NOT_LOADED_BY_CHECKER = {
 }
 
 
+#: lines of source in every ``repro`` module a fresh ``import
+#: repro.cert.check`` loads (56 modules).  A ceiling to lower as the
+#: checker's trusted base shrinks, not a target to grow into
+CHECKER_CLOSURE_LINES = 16522
+
+
 def test_checker_import_closure_leaves_out_codec_mutator_and_ast():
     """In a fresh interpreter, ``import repro.cert.check`` (and with it
-    the ``repro.cert`` package) loads none of :data:`NOT_LOADED_BY_CHECKER`,
+    the ``repro.cert`` package) loads none of :data:`NOT_LOADED_BY_CHECKER`
+    and at most :data:`CHECKER_CLOSURE_LINES` lines of ``repro`` source,
     while ``from repro.cert import mutate_certificate`` still works."""
     code = (
         "import sys\n"
         "import repro.cert.check\n"
         "print(' '.join(sorted(sys.modules)))\n"
+        "print(sum(len(open(m.__file__).readlines())\n"
+        "          for name, m in list(sys.modules.items())\n"
+        "          if name.split('.')[0] == 'repro'\n"
+        "          and getattr(m, '__file__', None)))\n"
         "from repro.cert import DELTA_FORMAT, mutate_certificate\n"
         "import repro.cert\n"
         "assert all(hasattr(repro.cert, name) for name in repro.cert.__all__)\n"
     )
     src = str(Path(repro.cert.__file__).resolve().parents[2])
     env = dict(os.environ, PYTHONPATH=src)
-    loaded = subprocess.run(
+    modules, lines = subprocess.run(
         [sys.executable, "-c", code],
         capture_output=True, text=True, check=True, env=env,
-    ).stdout.split()
+    ).stdout.splitlines()
+    loaded = modules.split()
     assert "repro.cert.check" in loaded
     assert not NOT_LOADED_BY_CHECKER & set(loaded)
+    assert int(lines) <= CHECKER_CLOSURE_LINES
 
 
 def _reachable(root) -> list:
