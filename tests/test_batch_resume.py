@@ -38,6 +38,22 @@ def make_runner(tmp_path, *, resume=False, jobs=None):
     )
 
 
+def four_jobs():
+    return [
+        JobSpec(
+            name=name, spec="cmp", source=by_name(name).source, engine="fds"
+        )
+        for name in ("fig3", "scanner", "sec3_loop", "alias_chain")
+    ]
+
+
+def cert_bytes(directory):
+    return {
+        name: (directory / name).read_bytes()
+        for name in sorted(os.listdir(directory))
+    }
+
+
 def journal_records(path):
     records = []
     with open(path, "r", encoding="utf-8") as handle:
@@ -137,6 +153,61 @@ class TestResume:
         result = runner.run()
         assert result.resumed == 0
         assert result.ok
+
+    def test_partial_journal_resumes_the_rest_byte_identically(
+        self, tmp_path
+    ):
+        # a journal that holds only part of the manifest restores that
+        # part; the rest runs, and every certificate matches a fresh run
+        jobs = four_jobs()
+        partial = BatchRunner(
+            jobs[:2],
+            emit_certs_dir=str(tmp_path / "certs"),
+            checkpoint_dir=str(tmp_path / "ckpt"),
+            run_id="r1",
+        )
+        assert partial.run().ok
+        resumed = BatchRunner(
+            jobs,
+            emit_certs_dir=str(tmp_path / "certs"),
+            checkpoint_dir=str(tmp_path / "ckpt"),
+            run_id="r1",
+            resume=True,
+        ).run()
+        assert resumed.ok and resumed.resumed == 2
+        assert [r.resumed for r in resumed.results] == [
+            True, True, False, False
+        ]
+        fresh = BatchRunner(jobs, emit_certs_dir=str(tmp_path / "fresh")).run()
+        assert [r.alarm_lines for r in resumed.results] == [
+            r.alarm_lines for r in fresh.results
+        ]
+        assert cert_bytes(tmp_path / "certs") == cert_bytes(tmp_path / "fresh")
+        assert len(journal_records(partial.journal_path)) == 4
+
+    def test_pooled_resume_keeps_manifest_order(self, tmp_path):
+        # restored and re-run jobs interleave in manifest order, whether
+        # the journal was written in-process and the resume runs a pool
+        jobs = four_jobs()
+        BatchRunner(
+            [jobs[0], jobs[2]],
+            checkpoint_dir=str(tmp_path / "ckpt"),
+            run_id="r1",
+        ).run()
+        resumed = BatchRunner(
+            jobs,
+            max_workers=2,
+            checkpoint_dir=str(tmp_path / "ckpt"),
+            run_id="r1",
+            resume=True,
+        ).run()
+        assert resumed.ok and resumed.resumed == 2
+        assert [r.job.name for r in resumed.results] == [
+            job.name for job in jobs
+        ]
+        assert [r.resumed for r in resumed.results] == [
+            True, False, True, False
+        ]
 
 
 def _raise_value_error(item):

@@ -158,6 +158,29 @@ class TestLRUCache:
             cache.get_or_create("k", lambda: calls.append(1))
         assert len(calls) == 1
 
+    def test_pop_removes_and_returns_the_value(self):
+        cache = LRUCache(maxsize=4, name="t")
+        cache.put("a", 1)
+        cache.put("b", 2)
+        assert cache.pop("a") == 1
+        assert "a" not in cache and len(cache) == 1
+        # the freed slot takes a new entry without evicting "b"
+        cache.put("c", 3)
+        assert "b" in cache and cache.stats().evictions == 0
+
+    def test_pop_of_a_missing_key_returns_the_default(self):
+        cache = LRUCache(maxsize=4, name="t")
+        assert cache.pop("absent") is None
+        assert cache.pop("absent", "fallback") == "fallback"
+
+    def test_pop_counts_neither_hit_nor_miss(self):
+        cache = LRUCache(maxsize=4, name="t")
+        cache.put("a", 1)
+        cache.pop("a")
+        cache.pop("a")
+        stats = cache.stats()
+        assert (stats.hits, stats.misses, stats.evictions) == (0, 0, 0)
+
 
 class TestStableKey:
     def test_unhashable_values_do_not_raise(self):
